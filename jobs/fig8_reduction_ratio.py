@@ -43,6 +43,11 @@ def main() -> None:
         e = edges_for(name, args.scale)
         if spark is not None:
             r = global_reduce_spark(spark, edges_df(spark, e))
+            if not r.converged:
+                raise SystemExit(
+                    f"[fig8] {name}: global reduction stopped after "
+                    f"{r.rounds} rounds short of its fixpoint"
+                )
             vr, er, nc = r.vertex_ratio, r.edge_ratio, r.cliques.count()
         else:
             _, pre, st = global_reduce_local(LocalGraph.from_edges(e))

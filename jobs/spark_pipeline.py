@@ -56,14 +56,16 @@ def main() -> None:
         f"subproblems={res.subproblems}\n"
         f"  wall={elapsed:.1f}s"
     )
+    converged = True
     if res.reduction is not None:
         r = res.reduction
+        converged = r.converged
         print(
             f"  global reduction: vertices -{r.vertex_ratio:.1%} "
-            f"edges -{r.edge_ratio:.1%} rounds={r.rounds}"
+            f"edges -{r.edge_ratio:.1%} rounds={r.rounds} converged={converged}"
         )
     spark.stop()
-    if not ok:
+    if not (ok and converged):
         raise SystemExit(1)
 
 

@@ -1,23 +1,31 @@
 """Global reduction as a distributed dataflow (paper §4 on Spark).
 
-Each fixpoint round applies three batch sub-steps, recomputing degrees
-between them so every rule evaluates on a consistent snapshot:
+Each fixpoint round applies two batches, each on the snapshot its
+predecessor left:
 
-1. **Degree-1 batch** (Lemma 2): every edge with a degree-1 endpoint is a
-   maximal 2-clique; all such edges are independent rewrites, so the whole
-   batch is sound (an isolated edge appears once in the edge table and is
-   therefore reported once).
+1. **Non-triangle edge batch** (Lemma 4): support-0 edges are independent
+   maximal 2-clique rewrites; deleting all of them at once is sound because
+   support is computed on the snapshot and deletions only lower other edges'
+   support (caught next round). This subsumes the degree-1 rule (Lemma 2):
+   an edge with a degree-1 endpoint has no common neighbor.
 2. **Degree-2 batch** (Lemma 3), restricted to a *distance-2 independent
-   set* of the degree-2 candidates (a candidate fires only if it has the
-   minimum id among candidates sharing a neighbor): concurrent firings then
-   touch disjoint edge sets and cannot invalidate each other's
-   common-neighbor tests, making the batch equivalent to some sequential
-   application order. The min-id candidate always fires, so rounds make
-   progress; random ids give geometric convergence.
-3. **Non-triangle edge batch** (Lemma 4): support-0 edges are independent
-   maximal 2-cliques; deleting all of them at once is sound because support
-   is computed on the snapshot and deletions only lower other edges'
-   support (caught next round).
+   set* of the degree-2 candidates (a candidate fires only if its id is
+   below that of every other candidate adjacent to it or sharing a neighbor
+   with it): concurrent firings then touch disjoint edge sets and
+   cannot invalidate each other's common-neighbor tests, making the batch
+   equivalent to some sequential application order. The min-id candidate
+   always fires, so rounds make progress; random ids give geometric
+   convergence. Every edge left by batch 1 lies in a triangle of surviving
+   edges, so a candidate ``v``'s neighbors ``u, w`` are adjacent: each
+   firing reports ``{v, u, w}``, deletes ``(v, u)`` and ``(v, w)``, and
+   deletes ``(u, w)`` too when ``v`` is their only common neighbor.
+
+Each batch's rewrite is materialized once (``localCheckpoint``); its count,
+clique rows and edge deletions all read that checkpoint. The surviving edge
+count is tracked, not recounted: support-0 edges are distinct, and the
+deletions of distance-2 independent firings are disjoint edges of the
+snapshot, so a round removes exactly ``n_nte + 2·n_fire + n_drop_uw`` edges.
+The loop stops once no edge remains or a round changes nothing.
 
 Degree-0 vertices vanish implicitly (edge-table representation; Lemma 1
 reports nothing). Cliques are emitted as canonical comma-joined id strings.
@@ -34,6 +42,10 @@ from ..gx.graph import degrees, remove_edges, symmetrize, vertices
 from ..gx.triangles import non_triangle_edges
 
 _CLIQUE_SCHEMA = T.StructType([T.StructField("clique", T.StringType())])
+
+
+def _edge(a: str, b: str) -> list:
+    return [F.least(a, b).alias("src"), F.greatest(a, b).alias("dst")]
 
 
 def _clique2(a, b):
@@ -56,6 +68,7 @@ class SparkReductionResult:
     n_after: int
     m_after: int
     rounds: int
+    converged: bool  # False: stopped at max_rounds, short of the fixpoint
 
     @property
     def vertex_ratio(self) -> float:
@@ -66,34 +79,12 @@ class SparkReductionResult:
         return 1.0 - self.m_after / self.m_before if self.m_before else 0.0
 
 
-def _degree1_step(edges: DataFrame) -> tuple[DataFrame, DataFrame, int]:
-    deg = degrees(edges)
-    d1 = deg.where(F.col("degree") == 1).select("v")
-    # NB: USING-key semi-joins move the key column first — select explicitly
-    # before the positional union or src/dst get silently swapped.
-    hit = (
-        edges.join(d1.withColumnRenamed("v", "src"), "src", "left_semi")
-        .select("src", "dst")
-        .union(
-            edges.join(d1.withColumnRenamed("v", "dst"), "dst", "left_semi")
-            .select("src", "dst")
-        )
-        .distinct()
-    )
-    n_hit = hit.count()
-    if n_hit == 0:
-        return edges, None, 0
-    cliques = hit.select(_clique2(F.col("src"), F.col("dst")).alias("clique"))
-    return remove_edges(edges, hit), cliques, n_hit
+def _firings(edges: DataFrame) -> DataFrame:
+    """Distance-2 independent degree-2 firings ``(v, u, w, drop_uw)``, u < w.
 
-
-def _degree2_step(
-    spark: SparkSession, edges: DataFrame
-) -> tuple[DataFrame, DataFrame, int]:
-    deg = degrees(edges)
-    cand = deg.where(F.col("degree") == 2).select("v")
-    if cand.isEmpty():
-        return edges, None, 0
+    Assumes every edge lies in a triangle (Lemma 4 ran on this snapshot).
+    """
+    cand = degrees(edges).where(F.col("degree") == 2).select("v")
     sym = symmetrize(edges)
     # Incident rows of candidates: exactly two per candidate.
     inc = sym.join(cand.withColumnRenamed("v", "src"), "src", "left_semi").select(
@@ -118,63 +109,20 @@ def _degree2_step(
         .where(F.col("min_other").isNull() | (F.col("v") < F.col("min_other")))
         .select("v")
     )
-    n_fire = fire.count()
-    if n_fire == 0:
-        return edges, None, 0
-    # Neighbor pair (u, w) of each firing candidate, u < w.
     pair = (
         inc.join(fire, "v", "left_semi")
         .groupBy("v")
         .agg(F.min("nbr").alias("u"), F.max("nbr").alias("w"))
     )
-    # Is (u, w) an edge, and do u, w share a neighbor besides v?
-    uw_adj = pair.join(
-        edges.select(F.col("src").alias("u"), F.col("dst").alias("w")),
-        ["u", "w"],
-        "left_semi",
-    ).select("v", "u", "w")
+    # Common neighbors of u and w; v is always one, so no firing is lost.
     n1 = sym.select(F.col("src").alias("u"), F.col("dst").alias("t"))
     n2 = sym.select(F.col("src").alias("w"), F.col("dst").alias("t"))
-    other_common = (
-        uw_adj.join(n1, "u")
+    return (
+        pair.join(n1, "u")
         .join(n2, ["w", "t"])
-        .where(F.col("t") != F.col("v"))
-        .select("v")
-        .distinct()
+        .groupBy("v", "u", "w")
+        .agg((F.count("*") == 1).alias("drop_uw"))
     )
-    adj = uw_adj
-    nonadj = pair.join(uw_adj.select("v"), "v", "left_anti")
-    # Reports.
-    cl_nonadj = nonadj.select(
-        F.explode(
-            F.array(_clique2(F.col("v"), F.col("u")), _clique2(F.col("v"), F.col("w")))
-        ).alias("clique")
-    )
-    cl_adj = adj.select(_clique3(F.col("v"), F.col("u"), F.col("w")).alias("clique"))
-    cliques = cl_nonadj.union(cl_adj)
-    # Edge deletions: both candidate edges always; (u, w) too when adjacent
-    # and no other common neighbor (Lemma 3 case 2).
-    del_vu = pair.select(
-        F.least("v", "u").alias("src"), F.greatest("v", "u").alias("dst")
-    )
-    del_vw = pair.select(
-        F.least("v", "w").alias("src"), F.greatest("v", "w").alias("dst")
-    )
-    del_uw = (
-        adj.join(other_common, "v", "left_anti")
-        .select(F.least("u", "w").alias("src"), F.greatest("u", "w").alias("dst"))
-    )
-    drops = del_vu.union(del_vw).union(del_uw)
-    return remove_edges(edges, drops), cliques, n_fire
-
-
-def _edge_step(edges: DataFrame) -> tuple[DataFrame, DataFrame, int]:
-    nte = non_triangle_edges(edges)
-    n_nte = nte.count()
-    if n_nte == 0:
-        return edges, None, 0
-    cliques = nte.select(_clique2(F.col("src"), F.col("dst")).alias("clique"))
-    return remove_edges(edges, nte), cliques, n_nte
 
 
 def global_reduce_spark(
@@ -182,29 +130,44 @@ def global_reduce_spark(
 ) -> SparkReductionResult:
     """Run global reduction to fixpoint. Returns surviving edges + cliques."""
     edges = edges.localCheckpoint(eager=True)
-    n0 = vertices(edges).count()
-    m0 = edges.count()
+    n0, deg_sum = degrees(edges).agg(
+        F.count("*"), F.coalesce(F.sum("degree"), F.lit(0))
+    ).first()
+    m = m0 = deg_sum // 2
     clique_parts: list[DataFrame] = []
     rounds = 0
-    # localCheckpoint after *every* sub-step: the degree-2 step alone
-    # self-joins the adjacency several times, so stacking three steps per
-    # round on raw lineage explodes the logical plan exponentially.
-    for _ in range(max_rounds):
-        changed = 0
-        for step in (
-            _degree1_step,
-            lambda e: _degree2_step(spark, e),
-            _edge_step,
-        ):
-            edges, cl, c = step(edges)
-            if c:
-                edges = edges.localCheckpoint(eager=True)
-            if cl is not None:
-                clique_parts.append(cl.localCheckpoint(eager=True))
-            changed += c
+    changed = True
+    # localCheckpoint after every batch: the degree-2 plan self-joins the
+    # adjacency several times, so stacking batches on raw lineage explodes
+    # the logical plan.
+    while m and changed and rounds < max_rounds:
+        nte = non_triangle_edges(edges).localCheckpoint(eager=True)
+        n_nte = nte.count()
+        if n_nte:
+            clique_parts.append(
+                nte.select(_clique2(F.col("src"), F.col("dst")).alias("clique"))
+            )
+            edges = remove_edges(edges, nte).localCheckpoint(eager=True)
+            m -= n_nte
+        n_fire = 0
+        if m:
+            fire = _firings(edges).localCheckpoint(eager=True)
+            n_fire, n_drop_uw = fire.agg(
+                F.count("*"), F.count(F.when(F.col("drop_uw"), 1))
+            ).first()
+            if n_fire:
+                clique_parts.append(
+                    fire.select(_clique3(F.col("v"), F.col("u"), F.col("w")).alias("clique"))
+                )
+                drops = (
+                    fire.select(*_edge("v", "u"))
+                    .union(fire.select(*_edge("v", "w")))
+                    .union(fire.where("drop_uw").select(*_edge("u", "w")))
+                )
+                edges = remove_edges(edges, drops).localCheckpoint(eager=True)
+                m -= 2 * n_fire + n_drop_uw
         rounds += 1
-        if changed == 0:
-            break
+        changed = bool(n_nte or n_fire)
     cliques = spark.createDataFrame([], _CLIQUE_SCHEMA)
     for p in clique_parts:
         cliques = cliques.union(p)
@@ -214,7 +177,8 @@ def global_reduce_spark(
         cliques=cliques,
         n_before=n0,
         m_before=m0,
-        n_after=vertices(edges).count(),
-        m_after=edges.count(),
+        n_after=vertices(edges).count() if m else 0,
+        m_after=m,
         rounds=rounds,
+        converged=m == 0 or not changed,
     )
