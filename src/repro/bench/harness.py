@@ -1,4 +1,4 @@
-"""Timing/metrics harness shared by jobs/ and benchmarks/.
+"""Timing/metrics harness for the jobs/ scripts.
 
 All timing-sensitive comparisons run the *local* kernel — mirroring the
 paper's single-machine C++ setting — because every configuration shares the

@@ -5,7 +5,7 @@ the paper's published statistics (Table 2) and a deterministic generator
 spec for the offline analog at two scales:
 
 - ``unit``  — tiny (hundreds of vertices), for correctness tests,
-- ``bench`` — the scale used by jobs/ and benchmarks/ (thousands of
+- ``bench`` — the scale used by jobs/ and perfbench/ (thousands of
   vertices; sized so the full 18 × 11-configuration sweep finishes in
   minutes with the Python kernel — see DESIGN.md §3).
 """

@@ -10,6 +10,7 @@ used by the paper's C++ implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -61,39 +62,61 @@ def degeneracy_order(g: LocalGraph) -> tuple[list[int], dict[int, int], int]:
 
     Returns ``(order, core_number, degeneracy)`` where ``order`` is a valid
     degeneracy order (each vertex has ≤ λ later neighbors) and ``core_number``
-    maps each vertex to its k-core number. Ties break on vertex id so the
-    order is deterministic.
+    maps each vertex to its k-core number. Each step removes the vertex of
+    minimum residual degree, smallest id first, so the order is
+    deterministic.
+
+    The smallest id of a bucket comes from that bucket's min-heap, built
+    (``heapify``) the first time the bucket is the minimum. Invariant: while
+    a bucket has a heap, every member of the bucket set is in the heap;
+    heap entries no longer in the set are stale and are skipped on pop.
+    Degrees only fall, so a vertex never re-enters a bucket it has left and
+    a stale entry never becomes live again. Each vertex is heapified once
+    and pushed at most once per degree decrement, so the cost is
+    O((n + m) log n) with no per-pop bucket scan.
     """
     if g.n == 0:
         return [], {}, 0
-    deg = {v: len(nb) for v, nb in g.adj.items()}
-    maxd = max(deg.values(), default=0)
-    buckets: list[set[int]] = [set() for _ in range(maxd + 1)]
+    adj = g.adj
+    deg = {v: len(nb) for v, nb in adj.items()}
+    buckets: list[set[int]] = [set() for _ in range(max(deg.values()) + 1)]
     for v, d in deg.items():
         buckets[d].add(v)
+    heaps: list[list[int] | None] = [None] * len(buckets)
     order: list[int] = []
     core: dict[int, int] = {}
-    removed: set[int] = set()
     lam = 0
     cur = 0
     for _ in range(g.n):
         while not buckets[cur]:
             cur += 1
-        # Deterministic tie-break: smallest id in the minimum-degree bucket.
-        v = min(buckets[cur])
-        buckets[cur].discard(v)
-        lam = max(lam, cur)
+        bucket = buckets[cur]
+        heap = heaps[cur]
+        if heap is None:
+            heap = heaps[cur] = list(bucket)
+            heapify(heap)
+        v = heappop(heap)
+        while v not in bucket:
+            v = heappop(heap)
+        bucket.remove(v)
+        if cur > lam:
+            lam = cur
         core[v] = lam
         order.append(v)
-        removed.add(v)
-        for u in g.adj[v]:
-            if u in removed:
+        del deg[v]  # peeled vertices leave ``deg``
+        for u in adj[v]:
+            d = deg.get(u)
+            if d is None:
                 continue
-            d = deg[u]
-            buckets[d].discard(u)
-            deg[u] = d - 1
-            buckets[d - 1].add(u)
-        cur = max(cur - 1, 0)
+            buckets[d].remove(u)
+            d -= 1
+            deg[u] = d
+            buckets[d].add(u)
+            h = heaps[d]
+            if h is not None:
+                heappush(h, u)
+        if cur:
+            cur -= 1
     return order, core, lam
 
 

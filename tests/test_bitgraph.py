@@ -51,13 +51,42 @@ def test_degeneracy_order_validity_known(name):
     _check_order(g, order, lam)
     assert set(order) == set(g.adj)
     assert max(core.values()) == lam
+    assert (order, core, lam) == _reference_order(g)
 
 
-@pytest.mark.parametrize("name", GRAPH_NAMES)
-def test_degeneracy_order_validity_catalog(name):
-    g = LocalGraph.from_edges(edges_for(name, "unit"))
+# The bench-scale graphs build the thousands-of-vertices degree-1 and
+# degree-2 buckets that unit scale never reaches.
+@pytest.mark.parametrize(
+    "name,scale",
+    [pytest.param(name, "unit", id=name) for name in GRAPH_NAMES]
+    + [
+        pytest.param(name, "bench", id=f"{name}-bench")
+        for name in ("email-EuAll", "wiki-Talk", "roadNet-CA")
+    ],
+)
+def test_degeneracy_order_validity_catalog(name, scale):
+    g = LocalGraph.from_edges(edges_for(name, scale))
     order, core, lam = degeneracy_order(g)
     _check_order(g, order, lam)
+
+
+def _reference_order(g: LocalGraph) -> tuple[list[int], dict[int, int], int]:
+    """Naive O(n²) peel: repeatedly remove the vertex of minimum
+    ``(residual degree, id)``; core number = running max of that degree."""
+    deg = {v: len(nb) for v, nb in g.adj.items()}
+    order: list[int] = []
+    core: dict[int, int] = {}
+    lam = 0
+    while deg:
+        d, v = min((d, v) for v, d in deg.items())
+        lam = max(lam, d)
+        core[v] = lam
+        order.append(v)
+        del deg[v]
+        for u in g.adj[v]:
+            if u in deg:
+                deg[u] -= 1
+    return order, core, lam
 
 
 def _check_order(g: LocalGraph, order: list[int], lam: int) -> None:
@@ -127,3 +156,37 @@ def test_degeneracy_order_validity_hypothesis(n, p, seed):
     order, core, lam = degeneracy_order(g)
     _check_order(g, order, lam)
     assert sorted(order) == sorted(g.adj)
+    assert (order, core, lam) == _reference_order(g)
+
+
+@pytest.mark.parametrize("name", GRAPH_NAMES)
+def test_degeneracy_tie_break_catalog(name):
+    g = LocalGraph.from_edges(edges_for(name, "unit"))
+    assert degeneracy_order(g) == _reference_order(g)
+
+
+@pytest.mark.parametrize("kind", ["negative", "sparse", "huge"])
+@pytest.mark.parametrize("name", ["paper_fig2", "petersen", "ca-CondMat", "wiki-Talk"])
+def test_degeneracy_tie_break_relabelled(name, kind):
+    if name in KNOWN_GRAPHS:
+        e = np.array(KNOWN_GRAPHS[name], dtype=np.int64)
+    else:
+        e = edges_for(name, "unit")
+    n = int(e.max()) + 1
+    # A permutation, so ties in degree land on ids in a different order.
+    perm = np.random.default_rng(n).permutation(n).astype(np.int64)
+    ids = {
+        "negative": perm - n // 2,
+        "sparse": perm * 7919 + 13,
+        "huge": perm * 1_000_003 + 2**40 + 5,
+    }[kind]
+    g = LocalGraph.from_edges(ids[e])
+    assert degeneracy_order(g) == _reference_order(g)
+
+
+@pytest.mark.parametrize(
+    "adj", [{}, {7: set(), 3: set()}, {9: {4}, 4: {9}, 7: set(), -2: set()}]
+)
+def test_degeneracy_tie_break_empty_and_isolated(adj):
+    g = LocalGraph(adj)
+    assert degeneracy_order(g) == _reference_order(g)
