@@ -6,26 +6,30 @@ same configuration grid covers BKx, RMCEx and the Table-3 variants):
 1. **Global reduction** (``spark_global``): batch Lemmas 1-4 to fixpoint;
    emits pre-reported cliques.
 2. **Degeneracy order** (``gx.kcore``): distributed batch peeling.
-3. **ignoreId precompute**: Algorithm 8's two dominance rules depend only on
+3. **Oriented triangles** (``_pp_rows``): one row ``(task, a, b)`` per
+   edge between two candidates ``a, b ∈ N⁺(task)``.
+4. **ignoreId precompute**: Algorithm 8's two dominance rules depend only on
    the static ``N⁺`` sets, so the whole table — threshold *and* arg-min
-   dominator — is two joins over the rank-oriented edge table (same
-   else-if precedence and tie-breaking as the sequential sweep; a test
+   dominator — comes from the triangle rows (per pair ``(v, u)``, the rows
+   with ``task = v, a = u`` count ``N⁺(v) ∩ N⁺(u)``) and the out-degrees
+   (same else-if precedence and tie-breaking as the sequential sweep; a test
    asserts exact equality with ``forbidden_reduction.compute_ignore_ids``).
-4. **Subproblem materialization**: for every task vertex ``v`` — candidate
-   rows (``N⁺(v)`` with ranks), candidate-candidate adjacency from a
-   triangle join, forbidden rows (``N⁻(v)`` with rank/ignoreId/dominator),
+5. **Subproblem materialization**: for every task vertex ``v`` — candidate
+   rows (``N⁺(v)`` with ranks), the triangle rows as candidate-candidate
+   adjacency, forbidden rows (``N⁻(v)`` with rank/ignoreId/dominator),
    and forbidden-candidate adjacency rows. This ships exactly the
    neighborhood intersections the recursion needs — nothing hub-sized.
-5. **Kernel**: ``groupBy(task).applyInPandas`` runs the *same* bitmask
-   recursion as the local engine (chain-sound forbidden-set drop included)
-   and emits clique rows plus one metrics row per task.
+6. **Kernel**: ``groupBy(task).applyInPandas`` turns each task's rows into
+   a task-local ``LocalGraph`` and calls the local engine's ``solve_root``
+   (chain-sound forbidden-set drop included), then emits clique rows plus
+   one row of ``Metrics`` counters per task.
 
 Output cliques are canonical comma-joined id strings (matching
 ``spark_global``), unioned with the reduction's pre-reported cliques.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -33,23 +37,21 @@ from pyspark.sql import types as T
 
 from ..gx.graph import canonicalize, symmetrize
 from ..gx.kcore import degeneracy_order_spark
-from ..mce.bitgraph import Subproblem
+from ..mce.bitgraph import LocalGraph
+from ..mce.engine import solve_root
 from ..mce.metrics import Metrics
-from ..mce.recursions import run_subproblem
-from .forbidden_reduction import reduce_forbidden
 from .spark_global import SparkReductionResult, global_reduce_spark
 
 # Payload row kinds shipped to each task group.
 _CAND, _PP, _X, _XP = 0, 1, 2, 3
+# ``ignoreId`` of an X row without an Algorithm 8 entry: never below a rank.
+_NO_ENTRY = 1 << 62
+# The per-task ``Metrics`` counters, summed over all tasks.
+_COUNTERS = ("recursive_calls", "subproblems", "x_before", "x_after", "subproblems_reduced")
 
 _OUT_SCHEMA = T.StructType(
-    [
-        T.StructField("clique", T.StringType()),
-        T.StructField("calls", T.LongType()),
-        T.StructField("x_before", T.LongType()),
-        T.StructField("x_after", T.LongType()),
-        T.StructField("x_reduced", T.LongType()),
-    ]
+    [T.StructField("clique", T.StringType())]
+    + [T.StructField(f, T.LongType()) for f in _COUNTERS]
 )
 
 
@@ -65,24 +67,56 @@ class SparkMCEResult:
     x_after: int
     subproblems_reduced: int
     reduction: SparkReductionResult | None = None
-    extras: dict = field(default_factory=dict)
 
 
-def _ignore_table(oriented: DataFrame) -> DataFrame:
+def _orient(sym: DataFrame, ranks: DataFrame) -> DataFrame:
+    """``(v, u, rv, ru)``: every edge of the symmetrized table ``sym``
+    directed from lower to higher rank; ``ranks`` is ``(v, rank)``."""
+    return (
+        sym.join(ranks.withColumnRenamed("v", "src").withColumnRenamed("rank", "r_src"), "src")
+        .join(ranks.withColumnRenamed("v", "dst").withColumnRenamed("rank", "r_dst"), "dst")
+        .where(F.col("r_src") < F.col("r_dst"))
+        .select(
+            F.col("src").alias("v"),
+            F.col("dst").alias("u"),
+            F.col("r_src").cast("long").alias("rv"),
+            F.col("r_dst").cast("long").alias("ru"),
+        )
+    )
+
+
+def _pp_rows(oriented: DataFrame, edges: DataFrame) -> DataFrame:
+    """Oriented triangles ``(task, a, b)``: ``a, b ∈ N⁺(task)``,
+    rank(a) < rank(b), and ``a–b`` is an edge of ``edges``."""
+    o1 = oriented.select(F.col("v").alias("task"), F.col("u").alias("a"), F.col("ru").alias("ra"))
+    o2 = oriented.select(F.col("v").alias("task"), F.col("u").alias("b"), F.col("ru").alias("rb"))
+    return (
+        o1.join(o2, "task")
+        .where(F.col("ra") < F.col("rb"))
+        .join(
+            edges.select(
+                F.least("src", "dst").alias("e1"), F.greatest("src", "dst").alias("e2")
+            ),
+            (F.least("a", "b") == F.col("e1")) & (F.greatest("a", "b") == F.col("e2")),
+            "left_semi",
+        )
+        .select("task", "a", "b")
+    )
+
+
+def _ignore_table(oriented: DataFrame, pp: DataFrame) -> DataFrame:
     """Closed-form Algorithm 8: ``(v, ignore_id, dom)`` for vertices with an
-    entry. ``oriented`` is ``(v, u, rv, ru)`` with rank(v) < rank(u)."""
-    pairs = oriented.select("v", "u", "rv", "ru")
-    t1 = oriented.select(F.col("v").alias("v"), F.col("u").alias("w"))
-    t2 = oriented.select(F.col("v").alias("u"), F.col("u").alias("w"))
-    cnt = (
-        pairs.join(t1, "v")
-        .join(t2, ["u", "w"])
-        .groupBy("v", "u")
-        .agg(F.count("*").alias("cshared"))
+    entry. ``oriented`` is ``(v, u, rv, ru)`` with rank(v) < rank(u) and
+    ``pp`` is ``_pp_rows(oriented, ·)``: its rows with ``task = v, a = u``
+    are ``N⁺(v) ∩ N⁺(u)``."""
+    cnt = pp.groupBy(F.col("task").alias("v"), F.col("a").alias("u")).agg(
+        F.count("*").alias("cshared")
     )
     dplus = oriented.groupBy("v").agg(F.count("*").alias("dplus"))
     enriched = (
-        pairs.join(cnt, ["v", "u"], "left")
+        # Left join: a pair with no shared out-neighbour still fires rule A
+        # when |N⁺(v)| = 1.
+        oriented.join(cnt, ["v", "u"], "left")
         .fillna({"cshared": 0})
         .join(dplus.withColumnRenamed("dplus", "dv"), "v")
         .join(
@@ -110,83 +144,53 @@ def _ignore_table(oriented: DataFrame) -> DataFrame:
 
 
 def _make_kernel(recursion: str, dynamic: bool, maxcheck: bool):
-    """Build the applyInPandas kernel (closure carries the configuration)."""
+    """Build the applyInPandas kernel (closure carries the configuration).
+
+    Each task group is one root: its payload becomes a task-local
+    ``LocalGraph`` (candidates and X rows are its vertices, pp and xp rows
+    its edges) that ``solve_root`` solves exactly as the local engine does.
+    """
 
     def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
-        return _run_task(pdf, recursion, dynamic, maxcheck)
-
-    def _run_task(pdf: pd.DataFrame, recursion, dynamic, maxcheck) -> pd.DataFrame:
         root = int(pdf["task"].iloc[0])
-        kinds = pdf["kind"].to_numpy()
-        a = pdf["a"].to_numpy()
-        b = pdf["b"].to_numpy()
-        c = pdf["c"].to_numpy()
-        d = pdf["d"].to_numpy()
-        root_rank = None
-        cands: list[tuple[int, int]] = []  # (rank, vertex)
-        pp: list[tuple[int, int]] = []
-        xrows: list[tuple[int, int, int, int]] = []  # (x, rank, ignore, dom)
-        xp: list[tuple[int, int]] = []
-        for k in range(len(kinds)):
-            kd = kinds[k]
-            if kd == _CAND:
-                cands.append((int(b[k]), int(a[k])))
-                root_rank = int(c[k])
-            elif kd == _PP:
-                pp.append((int(a[k]), int(b[k])))
-            elif kd == _X:
-                xrows.append((int(a[k]), int(b[k]), int(c[k]), int(d[k])))
+        adj: dict[int, set[int]] = {}
+        rank: dict[int, int] = {}
+        ignore_id: dict[int, int] = {}
+        ignore_dom: dict[int, int] = {}
+        p_ids: list[int] = []
+        x_ids: list[int] = []
+        cols = (pdf[c].tolist() for c in ("kind", "a", "b", "c", "d"))
+        for kind, a, b, c, d in zip(*cols):
+            if kind == _CAND:
+                p_ids.append(a)
+                rank[a] = b
+                i = c
+                adj.setdefault(a, set())
+            elif kind == _X:
+                x_ids.append(a)
+                rank[a] = b
+                ignore_id[a] = c
+                ignore_dom[a] = d
+                adj.setdefault(a, set())
             else:
-                xp.append((int(a[k]), int(b[k])))
-        cands.sort()
-        p_ids = [v for _, v in cands]
-        x_ids = [x for x, _, _, _ in xrows]
-        i = root_rank if root_rank is not None else 0
-        if maxcheck and xrows:
-            n_sentinel = 1 << 60
-            ignore_id = {x: (ig if ig >= 0 else n_sentinel) for x, _, ig, _ in xrows}
-            ignore_dom = {x: dm for x, _, ig, dm in xrows if ig >= 0}
-            rank = {x: r for x, r, _, _ in xrows}
-            x_kept = reduce_forbidden(x_ids, i, ignore_id, ignore_dom, rank)
-        else:
-            x_kept = x_ids
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+        p_ids.sort(key=rank.__getitem__)
         metrics = Metrics()
         cliques: list[str] = []
 
         def report(vs) -> None:
             cliques.append(",".join(str(t) for t in sorted(vs)))
 
-        if p_ids:
-            pos = {v: j for j, v in enumerate(p_ids)}
-            p = len(p_ids)
-            ids = p_ids + x_kept
-            adj = [0] * len(ids)
-            for u, w in pp:
-                ju, jw = pos.get(u), pos.get(w)
-                if ju is not None and jw is not None:
-                    adj[ju] |= 1 << jw
-                    adj[jw] |= 1 << ju
-            xpos = {x: p + j for j, x in enumerate(x_kept)}
-            for x, w in xp:
-                jx, jw = xpos.get(x), pos.get(w)
-                if jx is not None and jw is not None:
-                    adj[jx] |= 1 << jw
-                    adj[jw] |= 1 << jx
-            sub = Subproblem(root=root, ids=ids, adj=adj, p=p)
-            run_subproblem(sub, recursion, dynamic, report, metrics)
-        rows = [(cl, 0, 0, 0, 0) for cl in cliques]
-        rows.append(
-            (
-                None,
-                metrics.recursive_calls,
-                len(x_ids),
-                len(x_kept),
-                1 if len(x_kept) < len(x_ids) else 0,
-            )
+        solve_root(
+            LocalGraph(adj), root, i, p_ids, x_ids,
+            (ignore_id, ignore_dom) if maxcheck else None,
+            rank, recursion, dynamic, report, metrics,
         )
-        return pd.DataFrame(
-            rows, columns=["clique", "calls", "x_before", "x_after", "x_reduced"]
-        )
+        zeros = (0,) * len(_COUNTERS)
+        rows = [(cl, *zeros) for cl in cliques]
+        rows.append((None, *(getattr(metrics, f) for f in _COUNTERS)))
+        return pd.DataFrame(rows, columns=["clique", *_COUNTERS])
 
     return kernel
 
@@ -211,20 +215,9 @@ def enumerate_cliques_spark(
     order_df, lam = degeneracy_order_spark(spark, edges)
     ranks = order_df.select("v", "rank")
     sym = symmetrize(edges)
-    oriented = (
-        sym.join(ranks.withColumnRenamed("v", "src").withColumnRenamed("rank", "r_src"), "src")
-        .join(ranks.withColumnRenamed("v", "dst").withColumnRenamed("rank", "r_dst"), "dst")
-        .where(F.col("r_src") < F.col("r_dst"))
-        .select(
-            F.col("src").alias("v"),
-            F.col("dst").alias("u"),
-            F.col("r_src").cast("long").alias("rv"),
-            F.col("r_dst").cast("long").alias("ru"),
-        )
-        .localCheckpoint(eager=True)
-    )
-
-    ignore = _ignore_table(oriented) if maxcheck else None
+    oriented = _orient(sym, ranks).localCheckpoint(eager=True)
+    pp = _pp_rows(oriented, edges)
+    ignore = _ignore_table(oriented, pp) if maxcheck else None
 
     cand_rows = oriented.select(
         F.col("v").alias("task"),
@@ -234,48 +227,30 @@ def enumerate_cliques_spark(
         F.col("rv").alias("c"),
         F.lit(0).cast("long").alias("d"),
     )
-    o1 = oriented.select(F.col("v").alias("task"), F.col("u").alias("p1"), F.col("ru").alias("r1"))
-    o2 = oriented.select(F.col("v").alias("task"), F.col("u").alias("p2"), F.col("ru").alias("r2"))
-    pp_pairs = o1.join(o2, "task").where(F.col("r1") < F.col("r2"))
-    pp_rows = (
-        pp_pairs.join(
-            edges.select(
-                F.least("src", "dst").alias("e1"), F.greatest("src", "dst").alias("e2")
-            ),
-            (F.least("p1", "p2") == F.col("e1")) & (F.greatest("p1", "p2") == F.col("e2")),
-            "left_semi",
-        )
-        .select(
-            "task",
-            F.lit(_PP).alias("kind"),
-            F.col("p1").alias("a"),
-            F.col("p2").alias("b"),
-            F.lit(0).cast("long").alias("c"),
-            F.lit(0).cast("long").alias("d"),
-        )
+    pp_rows = pp.select(
+        "task",
+        F.lit(_PP).alias("kind"),
+        "a",
+        "b",
+        F.lit(0).cast("long").alias("c"),
+        F.lit(0).cast("long").alias("d"),
     )
     xbase = oriented.select(
         F.col("u").alias("task"), F.col("v").alias("x"), F.col("rv").alias("rx")
     )
     if ignore is not None:
-        xinfo = xbase.join(ignore.withColumnRenamed("v", "x"), "x", "left").select(
-            "task",
-            "x",
-            "rx",
-            F.coalesce("ignore_id", F.lit(-1)).alias("ig"),
-            F.coalesce("dom", F.lit(-1)).alias("dm"),
-        )
+        xinfo = xbase.join(ignore.withColumnRenamed("v", "x"), "x", "left")
+        ig = F.coalesce("ignore_id", F.lit(_NO_ENTRY))
+        dm = F.coalesce("dom", F.lit(-1))
     else:
-        xinfo = xbase.select(
-            "task", "x", "rx", F.lit(-1).alias("ig"), F.lit(-1).alias("dm")
-        )
+        xinfo, ig, dm = xbase, F.lit(_NO_ENTRY), F.lit(-1)
     x_rows = xinfo.select(
         "task",
         F.lit(_X).alias("kind"),
         F.col("x").alias("a"),
         F.col("rx").alias("b"),
-        F.col("ig").cast("long").alias("c"),
-        F.col("dm").cast("long").alias("d"),
+        ig.cast("long").alias("c"),
+        dm.cast("long").alias("d"),
     )
     xw = xbase.select("task", "x").join(
         oriented.select(F.col("v").alias("task"), F.col("u").alias("w")), "task"
@@ -311,20 +286,14 @@ def enumerate_cliques_spark(
     cliques = out.where(F.col("clique").isNotNull()).select("clique")
     if pre is not None:
         cliques = cliques.union(pre)
-    agg = out.where(F.col("clique").isNull()).agg(
-        F.sum("calls").alias("calls"),
-        F.sum("x_before").alias("xb"),
-        F.sum("x_after").alias("xa"),
-        F.sum("x_reduced").alias("xr"),
-        F.count("*").alias("tasks"),
-    ).collect()[0]
+    agg = (
+        out.where(F.col("clique").isNull())
+        .agg(*(F.sum(f).alias(f) for f in _COUNTERS))
+        .collect()[0]
+    )
     return SparkMCEResult(
         cliques=cliques.localCheckpoint(eager=True),
         degeneracy=lam,
-        recursive_calls=int(agg["calls"] or 0),
-        subproblems=int(agg["tasks"] or 0),
-        x_before=int(agg["xb"] or 0),
-        x_after=int(agg["xa"] or 0),
-        subproblems_reduced=int(agg["xr"] or 0),
         reduction=reduction,
+        **{f: int(agg[f] or 0) for f in _COUNTERS},
     )

@@ -15,8 +15,9 @@ maxcheck=False            Table 3 "Variant3"
 
 The outer loop is the degeneracy decomposition shared by all four methods
 (Algorithm 2 lines 1-3 / Algorithm 4): for each vertex ``v`` in degeneracy
-order, solve the induced subproblem ``(R={v}, P=N⁺(v), X=N⁻(v))``. The same
-kernel runs inside Spark tasks (``repro.core.spark_rmce``).
+order, solve the induced subproblem ``(R={v}, P=N⁺(v), X=N⁻(v))``. That
+per-root step is ``solve_root``; the Spark kernel (``repro.core.spark_rmce``)
+calls it on a task-local ``LocalGraph`` built from the task's payload.
 """
 from __future__ import annotations
 
@@ -81,28 +82,17 @@ def enumerate_cliques(
         v: frozenset(u for u in g2.adj[v] if rank[u] > rank[v]) for v in order
     }
     n = len(order)
-    ignore_id = {v: n for v in order} if maxcheck else None
-    ignore_dom: dict[int, int] = {}
+    ignore = ({v: n for v in order}, {}) if maxcheck else None
 
     for i, v in enumerate(order):
         p_ids = sorted(nplus[v], key=rank.__getitem__)
         x_ids = [u for u in g2.adj[v] if rank[u] < i]
-        metrics.subproblems += 1
-        metrics.x_before += len(x_ids)
-        if ignore_id is not None:
-            x_kept = reduce_forbidden(x_ids, i, ignore_id, ignore_dom, rank)
-            update_ignore_ids(ignore_id, ignore_dom, v, i, p_ids, nplus, rank)
-        else:
-            x_kept = x_ids
-        metrics.x_after += len(x_kept)
-        if len(x_kept) < len(x_ids):
-            metrics.subproblems_reduced += 1
-        if not p_ids and x_kept:
-            # No candidates and maximality already broken: skip the frame
-            # entirely (still a subproblem for the Fig. 10 accounting above).
-            continue
-        sub = build_subproblem(g2, v, p_ids, x_kept)
-        run_subproblem(sub, recursion, dynamic, report, metrics)
+        solve_root(
+            g2, v, i, p_ids, x_ids, ignore, rank, recursion, dynamic, report, metrics
+        )
+        if ignore is not None:
+            # Step i only sets values >= i, which no drop at step i reads.
+            update_ignore_ids(*ignore, v, i, p_ids, nplus, rank)
 
     metrics.cliques = len(reported)
     return EngineResult(
@@ -112,6 +102,45 @@ def enumerate_cliques(
         degeneracy=lam,
         reduction_stats=red_stats,
     )
+
+
+def solve_root(
+    g: LocalGraph,
+    v: int,
+    i: int,
+    p_ids: list[int],
+    x_ids: list[int],
+    ignore: tuple[dict[int, int], dict[int, int]] | None,
+    rank: dict[int, int],
+    recursion: str,
+    dynamic: bool,
+    report,
+    metrics: Metrics,
+) -> None:
+    """Solve root ``v``'s subproblem ``({v}, p_ids, x_ids)`` at order ``i``.
+
+    ``p_ids`` is ``N⁺(v)`` in rank order and ``x_ids`` is ``N⁻(v)``.
+    ``ignore = (ignore_id, ignore_dom)`` turns on Algorithm 8's chain-sound
+    drop of ``X``; ``rank`` must cover every ``X`` vertex and dominator.
+    ``g`` needs only the edges among ``p_ids`` and between ``x_ids`` and
+    ``p_ids``. Counts the subproblem and its ``X`` in ``metrics`` (Fig. 10);
+    the recursion adds its own counters.
+    """
+    metrics.subproblems += 1
+    metrics.x_before += len(x_ids)
+    if ignore is not None:
+        x_kept = reduce_forbidden(x_ids, i, *ignore, rank)
+    else:
+        x_kept = x_ids
+    metrics.x_after += len(x_kept)
+    if len(x_kept) < len(x_ids):
+        metrics.subproblems_reduced += 1
+    if not p_ids and x_kept:
+        # No candidates and maximality already broken: skip the frame
+        # entirely (still a subproblem for the Fig. 10 accounting above).
+        return
+    sub = build_subproblem(g, v, p_ids, x_kept)
+    run_subproblem(sub, recursion, dynamic, report, metrics)
 
 
 def algorithm_config(name: str) -> dict:

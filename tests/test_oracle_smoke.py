@@ -1,50 +1,14 @@
-"""Scaffold smoke tests: TPC-H-lite generators + the DuckDB oracle, plus
-oracle checks over the clique output (query-shaped result verification)."""
+"""DuckDB oracle checks over the engine's output: Spark aggregations of the
+clique and degree tables diffed against the same queries in SQL."""
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.graphs.catalog import edges_for
 from repro.mce.bitgraph import LocalGraph
 from repro.mce.engine import enumerate_cliques
 from repro.oracle import assert_equivalent
-
-
-def test_tpch_lite_aggregate(spark):
-    li = synth_data.lineitem(spark, sf=0.001, seed=0)
-    assert_equivalent(
-        li.groupBy("l_returnflag").agg(
-            F.count("*").alias("cnt"),
-            F.round(F.sum("l_quantity"), 2).alias("sum_qty"),
-        ),
-        """
-        SELECT l_returnflag, COUNT(*) AS cnt, ROUND(SUM(l_quantity), 2) AS sum_qty
-        FROM lineitem GROUP BY l_returnflag
-        """,
-        lineitem=li,
-    )
-
-
-def test_tpch_lite_join(spark):
-    o = synth_data.orders(spark, sf=0.001)
-    c = synth_data.customer(spark, sf=0.001)
-    got = (
-        o.join(c, o.o_custkey == c.c_custkey)
-        .groupBy("c_mktsegment")
-        .agg(F.count("*").alias("n_orders"))
-    )
-    assert_equivalent(
-        got,
-        """
-        SELECT c_mktsegment, COUNT(*) AS n_orders
-        FROM orders JOIN customer ON o_custkey = c_custkey
-        GROUP BY c_mktsegment
-        """,
-        orders=o,
-        customer=c,
-    )
 
 
 def test_clique_size_histogram_vs_oracle(spark):
