@@ -62,7 +62,9 @@ def main() -> None:
         converged = r.converged
         print(
             f"  global reduction: vertices -{r.vertex_ratio:.1%} "
-            f"edges -{r.edge_ratio:.1%} rounds={r.rounds} converged={converged}"
+            f"edges -{r.edge_ratio:.1%} rounds={r.rounds} converged={converged}\n"
+            f"  residual edges={r.m_after} "
+            f"search stage={'ran' if r.m_after else 'skipped'}"
         )
     spark.stop()
     if not (ok and converged):

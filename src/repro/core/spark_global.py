@@ -33,6 +33,7 @@ reports nothing). Cliques are emitted as canonical comma-joined id strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -168,13 +169,14 @@ def global_reduce_spark(
                 m -= 2 * n_fire + n_drop_uw
         rounds += 1
         changed = bool(n_nte or n_fire)
-    cliques = spark.createDataFrame([], _CLIQUE_SCHEMA)
-    for p in clique_parts:
-        cliques = cliques.union(p)
-    cliques = cliques.localCheckpoint(eager=True)
     return SparkReductionResult(
         edges=edges,
-        cliques=cliques,
+        # Each part reads a batch checkpoint: the union is not materialized.
+        cliques=(
+            reduce(DataFrame.union, clique_parts)
+            if clique_parts
+            else spark.createDataFrame([], _CLIQUE_SCHEMA)
+        ),
         n_before=n0,
         m_before=m0,
         n_after=vertices(edges).count() if m else 0,

@@ -4,7 +4,9 @@ Stages (each optional piece toggles exactly like the local engine, so the
 same configuration grid covers BKx, RMCEx and the Table-3 variants):
 
 1. **Global reduction** (``spark_global``): batch Lemmas 1-4 to fixpoint;
-   emits pre-reported cliques.
+   emits pre-reported cliques. Stages 2–6 run only when it leaves an edge:
+   on an empty residual graph its cliques are the whole answer, and the
+   search counters and degeneracy are 0, as the full path would compute.
 2. **Degeneracy order** (``gx.kcore``): distributed batch peeling.
 3. **Oriented triangles** (``_pp_rows``): one row ``(task, a, b)`` per
    edge between two candidates ``a, b ∈ N⁺(task)``.
@@ -25,7 +27,9 @@ same configuration grid covers BKx, RMCEx and the Table-3 variants):
    one row of ``Metrics`` counters per task.
 
 Output cliques are canonical comma-joined id strings (matching
-``spark_global``), unioned with the reduction's pre-reported cliques.
+``spark_global``), unioned with the reduction's pre-reported cliques. Each
+table is materialized once: the output is a select and union over the
+kernel's checkpoint and the reduction's, so it is not checkpointed again.
 """
 from __future__ import annotations
 
@@ -204,13 +208,24 @@ def enumerate_cliques_spark(
     maxcheck: bool = True,
 ) -> SparkMCEResult:
     """Distributed maximal clique enumeration (size ≥ 2) over ``edges``."""
-    edges = canonicalize(edges).localCheckpoint(eager=True)
+    edges = canonicalize(edges)
     reduction: SparkReductionResult | None = None
     pre: DataFrame | None = None
     if global_reduction:
+        # global_reduce_spark materializes its input itself.
         reduction = global_reduce_spark(spark, edges)
+        if not reduction.m_after:
+            # Nothing left to search: the reduction's cliques are all of them.
+            return SparkMCEResult(
+                cliques=reduction.cliques,
+                degeneracy=0,
+                reduction=reduction,
+                **dict.fromkeys(_COUNTERS, 0),
+            )
         edges = reduction.edges
         pre = reduction.cliques
+    else:
+        edges = edges.localCheckpoint(eager=True)
 
     order_df, lam = degeneracy_order_spark(spark, edges)
     ranks = order_df.select("v", "rank")
@@ -292,7 +307,7 @@ def enumerate_cliques_spark(
         .collect()[0]
     )
     return SparkMCEResult(
-        cliques=cliques.localCheckpoint(eager=True),
+        cliques=cliques,
         degeneracy=lam,
         reduction=reduction,
         **{f: int(agg[f] or 0) for f in _COUNTERS},

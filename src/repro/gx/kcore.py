@@ -16,6 +16,8 @@ growing lineage (standard iterative-Spark hygiene).
 """
 from __future__ import annotations
 
+from functools import reduce
+
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -46,7 +48,6 @@ def peel(spark: SparkSession, edges: DataFrame) -> tuple[DataFrame, int]:
     # becomes invisible in the edge table but still needs a removal stamp.
     verts = vertices(cur).localCheckpoint(eager=True)
     stamp_batches: list[DataFrame] = []
-    empty = spark.createDataFrame([], _STAMP_SCHEMA)
     k = 0
     rnd = 0
     lam = 0
@@ -78,18 +79,20 @@ def peel(spark: SparkSession, edges: DataFrame) -> tuple[DataFrame, int]:
         if rnd % 4 == 0:  # bound the anti-join lineage without a
             verts = verts.localCheckpoint(eager=True)  # checkpoint per round
         n -= n_low
-    stamps = empty
-    for b in stamp_batches:
-        stamps = stamps.union(b)
-    return stamps.localCheckpoint(eager=True), lam
+    # Each batch reads the checkpoint of its round: the union is not
+    # materialized again.
+    if not stamp_batches:
+        return spark.createDataFrame([], _STAMP_SCHEMA), lam
+    return reduce(DataFrame.union, stamp_batches), lam
 
 
 def degeneracy_order_df(stamps: DataFrame) -> DataFrame:
     """Attach the degeneracy-order rank: ``(v, core, round, rank)``.
 
-    Rank is the row number under ``(core is irrelevant —`` removal is
-    monotone in ``round)`` ordering by ``(round, v)``; ties inside a round
-    are ordered by id, which the batch-peeling argument allows.
+    Rank is the row number in ``(round, v)`` order. ``core`` is not part
+    of the key: removal is monotone in ``round``, so ordering by round
+    already orders by core. Ties inside a round are ordered by id, which
+    the batch-peeling argument allows.
     """
     from pyspark.sql import Window
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.forbidden_reduction import compute_ignore_ids
 from repro.core.spark_rmce import (
+    _COUNTERS,
     _ignore_table,
     _orient,
     _pp_rows,
@@ -45,6 +46,44 @@ def test_rmce_pipeline_matches_local(spark, name):
     got = _collect(res)
     assert got == local.cliques
     assert res.cliques.count() == len(got), "duplicate clique rows"
+    assert res.degeneracy == local.degeneracy
+
+
+@pytest.mark.parametrize("name", ["roadNet-CA", "inf-road-usa"])
+def test_fully_reduced_skips_search(spark, monkeypatch, name):
+    """Global reduction empties both road analogs: the pipeline answers from
+    the reduction alone, with the local engine's cliques, λ and counters."""
+
+    def no_search(*_args):
+        raise AssertionError("search stage entered on an empty residual graph")
+
+    monkeypatch.setattr("repro.core.spark_rmce.degeneracy_order_spark", no_search)
+    e = edges_for(name, "unit")
+    local = enumerate_cliques(LocalGraph.from_edges(e), "pivot", True, True, True)
+    res = enumerate_cliques_spark(spark, edges_df(spark, e), "pivot", True, True, True)
+    got = _collect(res)
+    assert res.reduction.m_after == 0
+    assert got == local.cliques
+    assert res.cliques.count() == len(got), "duplicate clique rows"
+    assert res.degeneracy == local.degeneracy
+    for f in _COUNTERS:
+        assert getattr(res, f) == getattr(local.metrics, f), f
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "baseline"])
+@pytest.mark.parametrize("edges", [[], [(3, 7)]], ids=["empty", "one-edge"])
+def test_tiny_graphs_in_pipeline(spark, edges, reduced):
+    """The empty graph and a single edge; without global reduction the
+    full search path runs, on empty tables for the empty graph."""
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    g = LocalGraph.from_edges(e)
+    res = enumerate_cliques_spark(
+        spark, edges_df(spark, e), "pivot", reduced, reduced, reduced
+    )
+    got = _collect(res)
+    assert got == maximal_cliques_bruteforce(g)
+    assert res.cliques.count() == len(got), "duplicate clique rows"
+    local = enumerate_cliques(g, "pivot", reduced, reduced, reduced)
     assert res.degeneracy == local.degeneracy
 
 
