@@ -40,21 +40,32 @@ def update_ignore_ids(
     v: int,
     i: int,
     p_ids: list[int],
-    nplus: dict[int, frozenset[int]],
+    nplus: dict[int, list[int]],
     rank: dict[int, int],
 ) -> None:
     """Algorithm 8 lines 6-11 for the subproblem induced by ``v`` (order
-    ``i``, candidates ``p_ids`` = N⁺(v)). Mutates ``ignore_id``/``ignore_dom``."""
-    pset = nplus[v]
+    ``i``, candidates ``p_ids`` = N⁺(v) in rank order; ``nplus`` maps each
+    vertex to its ``N⁺``, in any order). Mutates ``ignore_id``/``ignore_dom``.
+
+    Rule A can hold only for the lowest-rank candidate ``p_ids[0]``: every
+    other ``u`` misses ``p_ids[0]`` from ``N⁺(u)``. Since ``u ∉ N⁺(u)``, it
+    holds there iff ``|N⁺(u) ∩ P| = |P| − 1``."""
+    if not p_ids:
+        return
+    pset = frozenset(p_ids)
     psize = len(p_ids)
-    for u in p_ids:
+    u = p_ids[0]
+    if len(pset.intersection(nplus[u])) == psize - 1:
+        # Rule A: v is dominated by u in every subproblem after ord(u).
+        if rank[u] < ignore_id[v]:
+            ignore_id[v] = rank[u]
+            ignore_dom[v] = u
+        rest = p_ids[1:]  # else-if: rule B is not tested for u
+    else:
+        rest = p_ids
+    for u in rest:
         pu = nplus[u]
-        if psize - 1 <= len(pu) and all(w == u or w in pu for w in p_ids):
-            # Rule A: v is dominated by u in every subproblem after ord(u).
-            if rank[u] < ignore_id[v]:
-                ignore_id[v] = rank[u]
-                ignore_dom[v] = u
-        elif len(pu) <= psize - 1 and pu <= pset:
+        if len(pu) <= psize - 1 and pset.issuperset(pu):
             # Rule B: u is dominated by v in every subproblem after i.
             if i < ignore_id[u]:
                 ignore_id[u] = i
@@ -68,12 +79,14 @@ def compute_ignore_ids(
     Equals the engine's incremental sweep because updates never feed back
     into the rules — this is the form the Spark pipeline parallelizes."""
     n = len(order)
-    nplus = {v: frozenset(u for u in g.adj[v] if rank[u] > rank[v]) for v in order}
+    nplus = {
+        v: sorted((u for u in g.adj[v] if rank[u] > rank[v]), key=rank.__getitem__)
+        for v in order
+    }
     ignore_id = {v: n for v in order}
     ignore_dom: dict[int, int] = {}
     for i, v in enumerate(order):
-        p_ids = sorted(nplus[v], key=rank.__getitem__)
-        update_ignore_ids(ignore_id, ignore_dom, v, i, p_ids, nplus, rank)
+        update_ignore_ids(ignore_id, ignore_dom, v, i, nplus[v], nplus, rank)
     return ignore_id, ignore_dom
 
 

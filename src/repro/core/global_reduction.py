@@ -2,9 +2,21 @@
 and non-triangle edge reduction (Algorithm 6), local driver-side form.
 
 Both rule families satisfy ``mc(G) = mc(G') + reported`` individually, so
-they compose in any order; we iterate vertex-pass → edge-pass to a fixpoint
-(the paper's Example 4 relies on exactly this cascade: deleting non-triangle
-edges exposes new degree-≤2 vertices).
+they compose in any order. The paper's Example 4 relies on the cascade from
+edges to vertices: deleting non-triangle edges exposes new degree-≤2
+vertices. The cascade never runs the other way:
+
+**No-cascade lemma.** Deleting a support-0 edge ``(u, v)`` (Lemma 4) lowers
+no other edge's support: ``(u, v)`` counts towards the support of ``(u, x)``
+only if ``x`` is a common neighbor of ``u`` and ``v``, and there is none.
+A Lemma 1–3 rewrite lowers no support either, except that of the one edge
+``(u, w)`` between a degree-2 vertex's neighbors, which it keeps with
+support ≥ 1 or deletes. So after one full edge pass no edge has support 0,
+and no later vertex pass creates one.
+
+``global_reduce_local`` therefore runs exactly vertex pass → edge pass →
+vertex pass: the first leaves no degree-≤2 vertex, the edge pass leaves no
+support-0 edge, and the last leaves neither — the fixpoint.
 
 The Spark implementation of the same rules lives in
 ``repro.core.spark_global`` and is tested for *semantic* equivalence (same
@@ -42,10 +54,8 @@ class ReductionStats:
         return 1.0 - self.m_after / self.m_before if self.m_before else 0.0
 
 
-def _vertex_pass(adj: dict[int, set[int]], report, touched: set[int]) -> bool:
-    """Algorithm 5: queue-driven degree ≤ 2 reduction. Mutates ``adj`` and
-    records surviving vertices whose neighborhood changed in ``touched``."""
-    changed = False
+def _vertex_pass(adj: dict[int, set[int]], report) -> None:
+    """Algorithm 5: queue-driven degree ≤ 2 reduction. Mutates ``adj``."""
     q = deque(v for v, nb in adj.items() if len(nb) <= 2)
     inq = set(q)
 
@@ -62,14 +72,11 @@ def _vertex_pass(adj: dict[int, set[int]], report, touched: set[int]) -> bool:
         d = len(adj[v])
         if d == 0:
             del adj[v]  # Lemma 1: no report (singleton)
-            changed = True
         elif d == 1:
             (u,) = adj[v]
             report((v, u))  # Lemma 2
             adj[u].discard(v)
             del adj[v]
-            changed = True
-            touched.add(u)
             enqueue(u)
         elif d == 2:
             u, w = sorted(adj[v])
@@ -88,58 +95,37 @@ def _vertex_pass(adj: dict[int, set[int]], report, touched: set[int]) -> bool:
             adj[u].discard(v)
             adj[w].discard(v)
             del adj[v]
-            changed = True
-            touched.add(u)
-            touched.add(w)
             enqueue(u)
             enqueue(w)
-    return changed
 
 
-def _edge_pass(
-    adj: dict[int, set[int]], report, touched: set[int], first: bool
-) -> bool:
-    """Algorithm 6: delete non-triangle edges. After the first full scan,
-    only edges incident to a ``touched`` vertex can have become
-    non-triangle, so later rounds scan just those. Mutates ``adj`` and
-    ``touched``.
+def _edge_pass(adj: dict[int, set[int]], report) -> None:
+    """Algorithm 6: delete every non-triangle edge. Tests all edges on the
+    input graph, then deletes the support-0 ones; by the no-cascade lemma
+    this equals deleting each as soon as it is found. Mutates ``adj``.
 
     The paper's visited-marking (skip both sibling edges of a witnessed
     triangle) is intentionally NOT implemented: it models C++ costs, and in
     Python the marking bookkeeping costs ~3× more than the early-exiting
     C-level ``set.isdisjoint`` checks it avoids (measured on the flickr
-    analog). The semantics are identical."""
-    changed = False
-    if first:
-        edges = [(u, v) for u, nb in adj.items() for v in nb if u < v]
-    else:
-        edges = [
-            (min(u, v), max(u, v))
-            for u in touched
-            if u in adj
-            for v in adj[u]
-        ]
-    newly_touched: set[int] = set()
-    for u, v in edges:
-        if u not in adj or v not in adj[u]:
-            continue
-        a, b = (adj[u], adj[v]) if len(adj[u]) <= len(adj[v]) else (adj[v], adj[u])
-        if a.isdisjoint(b):
-            report((u, v))  # Lemma 4
-            adj[u].discard(v)
-            adj[v].discard(u)
-            newly_touched.add(u)
-            newly_touched.add(v)
-            changed = True
-    touched.clear()
-    touched.update(newly_touched)
-    return changed
+    analog). The semantics are identical. ``isdisjoint`` iterates the
+    smaller of the two sets."""
+    dead = [
+        (u, v)
+        for u, nb in adj.items()
+        for v in nb
+        if u < v and nb.isdisjoint(adj[v])
+    ]
+    for u, v in dead:
+        report((u, v))  # Lemma 4
+        adj[u].discard(v)
+        adj[v].discard(u)
 
 
 def global_reduce_local(
     g: LocalGraph,
 ) -> tuple[LocalGraph, list[tuple[int, ...]], ReductionStats]:
-    """Apply global reduction to fixpoint.
+    """Apply global reduction to fixpoint. ``g`` is not modified.
 
     Returns ``(reduced_graph, reported_cliques, stats)`` with
     ``mc(G) = mc(reduced) ∪ reported`` (disjointly).
@@ -151,14 +137,9 @@ def global_reduce_local(
     def report(c: tuple[int, ...]) -> None:
         reported.append(tuple(sorted(c)))
 
-    touched: set[int] = set()
-    first = True
-    while True:
-        c1 = _vertex_pass(adj, report, touched)
-        c2 = _edge_pass(adj, report, touched, first)
-        first = False
-        if not (c1 or c2):
-            break
+    _vertex_pass(adj, report)
+    _edge_pass(adj, report)
+    _vertex_pass(adj, report)
     reduced = LocalGraph(adj)
     stats = ReductionStats(n0, m0, reduced.n, reduced.m, len(reported))
     return reduced, reported, stats

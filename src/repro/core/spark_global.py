@@ -1,13 +1,18 @@
 """Global reduction as a distributed dataflow (paper §4 on Spark).
 
-Each fixpoint round applies two batches, each on the snapshot its
+Each fixpoint round applies up to two batches, each on the snapshot its
 predecessor left:
 
-1. **Non-triangle edge batch** (Lemma 4): support-0 edges are independent
-   maximal 2-clique rewrites; deleting all of them at once is sound because
-   support is computed on the snapshot and deletions only lower other edges'
-   support (caught next round). This subsumes the degree-1 rule (Lemma 2):
-   an edge with a degree-1 endpoint has no common neighbor.
+1. **Non-triangle edge batch** (Lemma 4), in round 1 only: support-0 edges
+   are independent maximal 2-clique rewrites, and deleting one lowers no
+   other edge's support (a common neighbor of ``(u, x)`` that ``(u, v)``
+   provides would be a common neighbor of ``u`` and ``v``), so deleting
+   all of them at once is sound and leaves no support-0 edge. This
+   subsumes the degree-1 rule (Lemma 2): an edge with a degree-1 endpoint
+   has no common neighbor. A Lemma 3 firing lowers no support either,
+   except that of its ``(u, w)``, which it keeps with support ≥ 1 or
+   deletes; so later rounds find no support-0 edge and skip the batch
+   (the no-cascade lemma of ``repro.core.global_reduction``).
 2. **Degree-2 batch** (Lemma 3), restricted to a *distance-2 independent
    set* of the degree-2 candidates (a candidate fires only if its id is
    below that of every other candidate adjacent to it or sharing a neighbor
@@ -83,7 +88,8 @@ class SparkReductionResult:
 def _firings(edges: DataFrame) -> DataFrame:
     """Distance-2 independent degree-2 firings ``(v, u, w, drop_uw)``, u < w.
 
-    Assumes every edge lies in a triangle (Lemma 4 ran on this snapshot).
+    Assumes every edge lies in a triangle (Lemma 4 ran in round 1, and no
+    later firing leaves an edge with support 0).
     """
     cand = degrees(edges).where(F.col("degree") == 2).select("v")
     sym = symmetrize(edges)
@@ -142,14 +148,16 @@ def global_reduce_spark(
     # adjacency several times, so stacking batches on raw lineage explodes
     # the logical plan.
     while m and changed and rounds < max_rounds:
-        nte = non_triangle_edges(edges).localCheckpoint(eager=True)
-        n_nte = nte.count()
-        if n_nte:
-            clique_parts.append(
-                nte.select(_clique2(F.col("src"), F.col("dst")).alias("clique"))
-            )
-            edges = remove_edges(edges, nte).localCheckpoint(eager=True)
-            m -= n_nte
+        n_nte = 0
+        if not rounds:
+            nte = non_triangle_edges(edges).localCheckpoint(eager=True)
+            n_nte = nte.count()
+            if n_nte:
+                clique_parts.append(
+                    nte.select(_clique2(F.col("src"), F.col("dst")).alias("clique"))
+                )
+                edges = remove_edges(edges, nte).localCheckpoint(eager=True)
+                m -= n_nte
         n_fire = 0
         if m:
             fire = _firings(edges).localCheckpoint(eager=True)

@@ -78,21 +78,24 @@ def enumerate_cliques(
 
     order, _core, lam = degeneracy_order(g2)
     rank = {v: i for i, v in enumerate(order)}
-    nplus = {
-        v: frozenset(u for u in g2.adj[v] if rank[u] > rank[v]) for v in order
-    }
+    # N⁺ lists from one sweep in rank order: appending v to later[u] for
+    # each earlier neighbor u leaves every list rank-sorted.
+    later: dict[int, list[int]] = {v: [] for v in order}
+    for i, v in enumerate(order):
+        for u in g2.adj[v]:
+            if rank[u] < i:
+                later[u].append(v)
     n = len(order)
     ignore = ({v: n for v in order}, {}) if maxcheck else None
 
     for i, v in enumerate(order):
-        p_ids = sorted(nplus[v], key=rank.__getitem__)
         x_ids = [u for u in g2.adj[v] if rank[u] < i]
         solve_root(
-            g2, v, i, p_ids, x_ids, ignore, rank, recursion, dynamic, report, metrics
+            g2, v, i, later[v], x_ids, ignore, rank, recursion, dynamic, report, metrics
         )
         if ignore is not None:
             # Step i only sets values >= i, which no drop at step i reads.
-            update_ignore_ids(*ignore, v, i, p_ids, nplus, rank)
+            update_ignore_ids(*ignore, v, i, later[v], later, rank)
 
     metrics.cliques = len(reported)
     return EngineResult(

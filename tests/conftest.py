@@ -14,6 +14,16 @@ def random_edges(n: int, p: float, seed: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64) if rows else np.empty((0, 2), dtype=np.int64)
 
 
+def assert_reduction_fixpoint(g: LocalGraph) -> None:
+    """Global reduction's fixpoint: no vertex of degree ≤ 2 (Lemmas 1-3)
+    and no edge of support 0 (Lemma 4) is left."""
+    adj = g.adj
+    low = [v for v, nb in adj.items() if len(nb) <= 2]
+    assert not low, f"vertices of degree <= 2 left: {low[:5]}"
+    bare = [(u, v) for u, nb in adj.items() for v in nb if u < v and nb.isdisjoint(adj[v])]
+    assert not bare, f"edges of support 0 left: {bare[:5]}"
+
+
 # Named small graphs with hand-checkable clique structure.
 KNOWN_GRAPHS: dict[str, list[tuple[int, int]]] = {
     "triangle": [(0, 1), (1, 2), (0, 2)],

@@ -84,6 +84,47 @@ def test_closed_form_equals_incremental():
         assert inc_dom == closed_dom
 
 
+def _ignore_ids_by_definition(g, order, rank):
+    """Algorithm 8's ``(ignoreId, dominator)`` straight from the rules'
+    set definitions, for every pair ``(v, u ∈ N⁺(v))`` with ``P = N⁺(v)``:
+    rule A (``P∖{u} ⊆ N⁺(u)``) offers ``u`` as dominator of ``v``; else
+    rule B (``N⁺(u) ⊆ P∖{u}``) offers ``v`` as dominator of ``u``. Each
+    vertex keeps its min-rank dominator, and ``len(order)`` without one."""
+    nplus = {v: {u for u in g.adj[v] if rank[u] > rank[v]} for v in order}
+    offers = {v: [] for v in order}
+    for v in order:
+        p = nplus[v]
+        for u in p:
+            if p - {u} <= nplus[u]:
+                offers[v].append(u)
+            elif nplus[u] <= p - {u}:
+                offers[u].append(v)
+    ignore_id, dom = {}, {}
+    for w, doms in offers.items():
+        ignore_id[w] = len(order)
+        if doms:
+            dom[w] = min(doms, key=rank.__getitem__)
+            ignore_id[w] = rank[dom[w]]
+    return ignore_id, dom
+
+
+def test_ignore_ids_match_definition():
+    graphs = [CYCLE_COUNTEREXAMPLE, KNOWN_GRAPHS["paper_fig2"]]
+    graphs += [random_edges(n, p, 300 + seed) for seed in range(40)
+               for n, p in [(9, 0.5), (13, 0.35), (14, 0.7)]]
+    rule_a = 0
+    for e in graphs:
+        if not len(e):
+            continue
+        g = LocalGraph.from_edges(np.array(e))
+        order, _, _ = degeneracy_order(g)
+        rank = {v: i for i, v in enumerate(order)}
+        want = _ignore_ids_by_definition(g, order, rank)
+        assert compute_ignore_ids(g, order, rank) == want
+        rule_a += sum(rank[d] > rank[w] for w, d in want[1].items())
+    assert rule_a, "no graph exercises rule A"
+
+
 def test_dominators_always_in_forbidden_set():
     # chain edges must stay inside X of any subproblem that drops a vertex
     for seed in range(10):

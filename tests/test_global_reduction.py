@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.global_reduction import global_reduce_local
-from repro.graphs.catalog import edges_for
+from repro.graphs.catalog import GRAPH_NAMES, edges_for
 from repro.mce.bitgraph import LocalGraph
-from repro.mce.engine import enumerate_cliques
+from repro.mce.engine import algorithm_config, enumerate_cliques
 from repro.mce.reference import is_maximal_clique, maximal_cliques_bruteforce
-from tests.conftest import KNOWN_GRAPHS, random_edges
+from tests.conftest import KNOWN_GRAPHS, assert_reduction_fixpoint, random_edges
 
 
 def _check_decomposition(g: LocalGraph):
@@ -116,3 +116,32 @@ def test_engine_equivalence_with_global_reduction(fuzz_graphs):
         res = enumerate_cliques(g, "pivot", True, False, False)
         assert res.cliques == truth
         assert len(res.reported) == len(res.cliques)
+
+
+@pytest.mark.parametrize("scale", ["unit", "bench"])
+def test_fixpoint_on_analogs(scale):
+    # Vertex pass -> edge pass -> vertex pass leaves nothing to reduce.
+    for name in GRAPH_NAMES:
+        reduced, _, _ = global_reduce_local(LocalGraph.from_edges(edges_for(name, scale)))
+        assert_reduction_fixpoint(reduced)
+
+
+def test_fixpoint_on_small_graphs():
+    graphs = [np.array(e) for e in KNOWN_GRAPHS.values()]
+    graphs += [random_edges(n, p, seed) for seed in range(60)
+               for n, p in [(8, 0.3), (12, 0.35), (14, 0.5)]]
+    for e in graphs:
+        reduced, _, _ = global_reduce_local(LocalGraph.from_edges(e))
+        assert_reduction_fixpoint(reduced)
+
+
+def test_input_graph_not_mutated():
+    # The benchmark enumerates one prebuilt graph again and again.
+    for e in (KNOWN_GRAPHS["paper_fig2"], edges_for("wiki-Talk", "unit"),
+              edges_for("ca-CondMat", "unit")):
+        g = LocalGraph.from_edges(e)
+        before = [(v, set(nb)) for v, nb in g.adj.items()]
+        global_reduce_local(g)
+        for cfg in ("RMCEdegen", "RMCErevised", "BKdegen", "Variant1"):
+            enumerate_cliques(g, **algorithm_config(cfg))
+        assert [(v, set(nb)) for v, nb in g.adj.items()] == before

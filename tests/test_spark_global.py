@@ -10,7 +10,7 @@ from repro.graphs.catalog import edges_for
 from repro.gx.graph import edges_df, vertices
 from repro.mce.bitgraph import LocalGraph
 from repro.mce.reference import is_maximal_clique, maximal_cliques_bruteforce
-from tests.conftest import KNOWN_GRAPHS
+from tests.conftest import KNOWN_GRAPHS, assert_reduction_fixpoint
 
 GRAPHS = ["ca-CondMat", "inf-road-usa", "sc-delaunay_n23", "wiki-Talk"]
 # Adversarial small graphs, fed through the same decomposition checks.
@@ -81,6 +81,14 @@ def test_road_fully_reduced(reduced):
 def test_round_cap_reported(reduced):
     assert not reduced[CAPPED][1].converged
     assert all(r.converged for name, (_, r) in reduced.items() if name != CAPPED)
+
+
+def test_converged_runs_reach_fixpoint(reduced):
+    # Lemma 4 runs in round 1 only: no later round may leave a support-0 edge.
+    for name, (_, r) in reduced.items():
+        if r.converged:
+            edges = [(row["src"], row["dst"]) for row in r.edges.collect()]
+            assert_reduction_fixpoint(LocalGraph.from_edges(edges))
 
 
 def test_delaunay_barely_reduced(reduced):
