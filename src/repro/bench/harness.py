@@ -12,8 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..graphs.catalog import GRAPH_NAMES, edges_for
 from ..mce.bitgraph import LocalGraph
 from ..mce.engine import EngineResult, algorithm_config, enumerate_cliques
@@ -183,5 +181,4 @@ __all__ = [
     "cliques_by_degree",
     "graph_stats_local",
     "GRAPH_NAMES",
-    "np",
 ]

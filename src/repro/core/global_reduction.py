@@ -1,27 +1,32 @@
-"""Global reduction (paper §4): low-degree vertex reduction (Algorithm 5)
-and non-triangle edge reduction (Algorithm 6), local driver-side form.
+"""Global reduction (paper §4): non-triangle edge reduction (Algorithm 6)
+and low-degree vertex reduction (Algorithm 5), local driver-side form.
 
-Both rule families satisfy ``mc(G) = mc(G') + reported`` individually, so
-they compose in any order. The paper's Example 4 relies on the cascade from
-edges to vertices: deleting non-triangle edges exposes new degree-≤2
-vertices. The cascade never runs the other way:
+Every rule (Lemmas 1–4) satisfies ``mc(G) = mc(G') + reported``, so the
+rules compose in any order, and every order ends at the same graph:
+
+**Fixpoint lemma.** Let H* be the largest subgraph in which every vertex
+has degree ≥ 3 and every edge lies in a triangle (a union of such
+subgraphs is one). No rule deletes a vertex or edge of H*: while the graph
+contains H*, each vertex of H* has degree ≥ 3 and each edge of H* has a
+common neighbor in H*, which is not the degree-2 vertex of a Lemma 3
+firing. A graph no rule applies to is such a subgraph, so it is H*. The
+reported set is then ``mc(G) − mc(H*)``, unique as well.
 
 **No-cascade lemma.** Deleting a support-0 edge ``(u, v)`` (Lemma 4) lowers
 no other edge's support: ``(u, v)`` counts towards the support of ``(u, x)``
 only if ``x`` is a common neighbor of ``u`` and ``v``, and there is none.
-A Lemma 1–3 rewrite lowers no support either, except that of the one edge
-``(u, w)`` between a degree-2 vertex's neighbors, which it keeps with
-support ≥ 1 or deletes. So after one full edge pass no edge has support 0,
-and no later vertex pass creates one.
+A Lemma 3 firing lowers no support either, except that of the one edge
+``(u, w)`` between the degree-2 vertex's neighbors, which it keeps with
+support ≥ 1 or deletes.
 
-``global_reduce_local`` therefore runs exactly vertex pass → edge pass →
-vertex pass: the first leaves no degree-≤2 vertex, the edge pass leaves no
-support-0 edge, and the last leaves neither — the fixpoint.
-
-The Spark implementation of the same rules lives in
-``repro.core.spark_global`` and is tested for *semantic* equivalence (same
-completeness decomposition; the surviving graph may differ on rule-order-
-dependent boundary cases of Lemma 3).
+``global_reduce_local`` therefore runs one full edge pass, then the
+degree-≤2 queue until it is empty. After the edge pass every edge lies in a
+triangle, and by the no-cascade lemma every firing keeps it so; the queue
+thus meets only degree 0 (Lemma 1) or degree 2 with adjacent neighbors
+(Lemma 3's triangle case). Lemma 2 and Lemma 3's path case never fire:
+Lemma 4 has reported and deleted those edges already. The Spark
+implementation (``repro.core.spark_global``) runs the same schedule in
+batches and, by the lemma, ends at the same graph with the same cliques.
 
 Convention: singleton cliques are never reported (Lemma 1 / DESIGN.md).
 """
@@ -55,48 +60,28 @@ class ReductionStats:
 
 
 def _vertex_pass(adj: dict[int, set[int]], report) -> None:
-    """Algorithm 5: queue-driven degree ≤ 2 reduction. Mutates ``adj``."""
+    """Algorithm 5 as a queue, on a graph whose every edge lies in a
+    triangle: Lemma 1 and Lemma 3's triangle case. Mutates ``adj``."""
     q = deque(v for v, nb in adj.items() if len(nb) <= 2)
-    inq = set(q)
-
-    def enqueue(t: int) -> None:
-        if t in adj and len(adj[t]) <= 2 and t not in inq:
-            q.append(t)
-            inq.add(t)
-
+    seen = set(q)  # every popped vertex is deleted, never queued again
     while q:
         v = q.popleft()
-        inq.discard(v)
-        if v not in adj:
-            continue
-        d = len(adj[v])
-        if d == 0:
-            del adj[v]  # Lemma 1: no report (singleton)
-        elif d == 1:
-            (u,) = adj[v]
-            report((v, u))  # Lemma 2
-            adj[u].discard(v)
-            del adj[v]
-            enqueue(u)
-        elif d == 2:
+        if adj[v]:  # degree 2
+            # Lemma 3: maximal triangle {v,u,w}; drop (u,w) as well iff
+            # u,w share no *other* common neighbor.
             u, w = sorted(adj[v])
-            if w not in adj[u]:
-                # Lemma 3 case 1: two maximal 2-cliques.
-                report((v, u))
-                report((v, w))
-            else:
-                # Lemma 3 cases 2-3: maximal triangle {v,u,w}; drop (u,w)
-                # as well iff u,w share no *other* common neighbor.
-                report((v, u, w))
-                small, big = (adj[u], adj[w]) if len(adj[u]) <= len(adj[w]) else (adj[w], adj[u])
-                if not any(t != v and t in big for t in small):
-                    adj[u].discard(w)
-                    adj[w].discard(u)
+            report((v, u, w))
+            small, big = (adj[u], adj[w]) if len(adj[u]) <= len(adj[w]) else (adj[w], adj[u])
+            if not any(t != v and t in big for t in small):
+                adj[u].discard(w)
+                adj[w].discard(u)
             adj[u].discard(v)
             adj[w].discard(v)
-            del adj[v]
-            enqueue(u)
-            enqueue(w)
+            for t in (u, w):
+                if len(adj[t]) <= 2 and t not in seen:
+                    q.append(t)
+                    seen.add(t)
+        del adj[v]  # now isolated: Lemma 1, no report (singleton)
 
 
 def _edge_pass(adj: dict[int, set[int]], report) -> None:
@@ -137,7 +122,6 @@ def global_reduce_local(
     def report(c: tuple[int, ...]) -> None:
         reported.append(tuple(sorted(c)))
 
-    _vertex_pass(adj, report)
     _edge_pass(adj, report)
     _vertex_pass(adj, report)
     reduced = LocalGraph(adj)

@@ -30,7 +30,10 @@ clique rows and edge deletions all read that checkpoint. The surviving edge
 count is tracked, not recounted: support-0 edges are distinct, and the
 deletions of distance-2 independent firings are disjoint edges of the
 snapshot, so a round removes exactly ``n_nte + 2·n_fire + n_drop_uw`` edges.
-The loop stops once no edge remains or a round changes nothing.
+The loop stops once no edge remains or a round changes nothing. A converged
+run ends at the graph H* of the fixpoint lemma in
+``repro.core.global_reduction``: it leaves the same edges and reports the
+same cliques as ``global_reduce_local``.
 
 Degree-0 vertices vanish implicitly (edge-table representation; Lemma 1
 reports nothing). Cliques are emitted as canonical comma-joined id strings.

@@ -6,7 +6,7 @@ reproduction needs, DataFrame-native so Catalyst plans every step:
 - canonical edge table ``(src < dst)``, deduplicated, loop-free,
 - symmetrized view for neighborhood joins,
 - degree computation via ``groupBy``,
-- induced subgraphs via semi-joins.
+- vertex and edge deletion via anti-joins.
 
 All columns are ``long``. Vertex ids are arbitrary (not required dense).
 """
@@ -59,15 +59,6 @@ def vertices(edges: DataFrame) -> DataFrame:
         edges.select(F.col("src").alias("v"))
         .union(edges.select(F.col("dst").alias("v")))
         .distinct()
-    )
-
-
-def induced_subgraph(edges: DataFrame, keep: DataFrame) -> DataFrame:
-    """Edges with *both* endpoints in ``keep`` (a ``(v)`` DataFrame)."""
-    return (
-        edges.join(keep.withColumnRenamed("v", "src"), "src", "left_semi")
-        .join(keep.withColumnRenamed("v", "dst"), "dst", "left_semi")
-        .select("src", "dst")
     )
 
 

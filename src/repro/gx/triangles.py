@@ -33,20 +33,3 @@ def edge_support(edges: DataFrame) -> DataFrame:
 def non_triangle_edges(edges: DataFrame) -> DataFrame:
     """Edges whose endpoints share no neighbor (maximal 2-cliques, Lemma 4)."""
     return edge_support(edges).where(F.col("support") == 0).select("src", "dst")
-
-
-def common_neighbor_counts(edges: DataFrame, pairs: DataFrame) -> DataFrame:
-    """For arbitrary vertex ``pairs`` ``(a, b)``: ``(a, b, common)`` = number
-    of shared neighbors (0 rows preserved via left join)."""
-    sym = symmetrize(edges)
-    n1 = sym.select(F.col("src").alias("a"), F.col("dst").alias("w"))
-    n2 = sym.select(F.col("src").alias("b"), F.col("dst").alias("w"))
-    cnt = (
-        pairs.join(n1, "a")
-        .join(n2, ["b", "w"])
-        .groupBy("a", "b")
-        .agg(F.count("*").alias("common"))
-    )
-    return pairs.join(cnt, ["a", "b"], "left").select(
-        "a", "b", F.coalesce("common", F.lit(0)).alias("common")
-    )

@@ -20,8 +20,10 @@ class Metrics:
     """Counters filled in by one engine run (one graph, one configuration)."""
 
     recursive_calls: int = 0  # recursion frames entered (incl. per-vertex roots)
-    cliques: int = 0  # maximal cliques reported (search + reductions)
-    reduction_cliques: int = 0  # reported by global/dynamic reduction rules
+    cliques: int = 0  # maximal cliques reported (search + global reduction)
+    # Global reduction's prefix of ``reported``. Dynamic reduction reports
+    # through the search's ``report``, so its cliques count as search cliques.
+    reduction_cliques: int = 0
     # Forbidden-set reduction accounting over outer subproblems (Fig. 10):
     x_before: int = 0  # Σ |X| before maximality-check reduction
     x_after: int = 0  # Σ |X'| after

@@ -14,14 +14,37 @@ def random_edges(n: int, p: float, seed: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64) if rows else np.empty((0, 2), dtype=np.int64)
 
 
-def assert_reduction_fixpoint(g: LocalGraph) -> None:
+def reduction_core(g: LocalGraph) -> set[tuple[int, int]]:
+    """Canonical edges of H*, the greatest fixpoint of global reduction: the
+    largest subgraph with every degree ≥ 3 and every edge in a triangle.
+    Computed naively, independently of both engines: drop every vertex of
+    degree ≤ 2 and every edge of support 0 until nothing changes."""
+    adj = {v: set(nb) for v, nb in g.adj.items()}
+    while True:
+        low = {v for v, nb in adj.items() if len(nb) <= 2}
+        bare = [(u, v) for u, nb in adj.items() for v in nb if u < v and nb.isdisjoint(adj[v])]
+        if not low and not bare:
+            return {(u, v) for u, nb in adj.items() for v in nb if u < v}
+        for u, v in bare:
+            adj[u].discard(v)
+            adj[v].discard(u)
+        adj = {v: nb - low for v, nb in adj.items() if v not in low}
+
+
+def assert_reduction_fixpoint(reduced: LocalGraph, g: LocalGraph) -> None:
     """Global reduction's fixpoint: no vertex of degree ≤ 2 (Lemmas 1-3)
-    and no edge of support 0 (Lemma 4) is left."""
-    adj = g.adj
+    and no edge of support 0 (Lemma 4) is left, and ``reduced`` is the
+    unique such residual of ``g``, ``reduction_core(g)``."""
+    adj = reduced.adj
     low = [v for v, nb in adj.items() if len(nb) <= 2]
     assert not low, f"vertices of degree <= 2 left: {low[:5]}"
     bare = [(u, v) for u, nb in adj.items() for v in nb if u < v and nb.isdisjoint(adj[v])]
     assert not bare, f"edges of support 0 left: {bare[:5]}"
+    core = reduction_core(g)
+    got = set(reduced.edges())
+    assert got == core, (
+        f"residual != H*: extra {sorted(got - core)[:5]}, missing {sorted(core - got)[:5]}"
+    )
 
 
 # Named small graphs with hand-checkable clique structure.

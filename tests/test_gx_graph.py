@@ -11,7 +11,6 @@ from repro.gx.graph import (
     canonicalize,
     degrees,
     edges_df,
-    induced_subgraph,
     remove_edges,
     remove_vertices,
     symmetrize,
@@ -76,19 +75,6 @@ def test_symmetrize_doubles(spark):
     e = edges_for("ca-CondMat", "unit")
     df = edges_df(spark, e)
     assert symmetrize(df).count() == 2 * df.count()
-
-
-def test_induced_subgraph_vs_oracle(spark):
-    e = edges_for("ca-CondMat", "unit")
-    keep_ids = sorted({int(x) for x in e[:, 0]})[:40]
-    df = edges_df(spark, e)
-    keep = spark.createDataFrame(pd.DataFrame({"v": keep_ids}))
-    assert_equivalent(
-        induced_subgraph(df, keep),
-        "SELECT src, dst FROM edges WHERE src IN (SELECT v FROM keep) AND dst IN (SELECT v FROM keep)",
-        edges=_pdf(e),
-        keep=pd.DataFrame({"v": keep_ids}),
-    )
 
 
 def test_remove_vertices_vs_oracle(spark):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.graphs.catalog import edges_for
 from repro.gx.graph import edges_df
-from repro.gx.triangles import common_neighbor_counts, edge_support, non_triangle_edges
+from repro.gx.triangles import edge_support, non_triangle_edges
 from repro.mce.bitgraph import LocalGraph
 from repro.oracle import assert_equivalent
 
@@ -67,37 +67,3 @@ def test_non_triangle_matches_local(spark):
     }
     got = {(r["src"], r["dst"]) for r in non_triangle_edges(edges_df(spark, e)).collect()}
     assert got == expect
-
-
-def test_common_neighbor_counts_vs_oracle(spark):
-    e = edges_for("ca-CondMat", "unit")
-    rng = np.random.default_rng(0)
-    vs = sorted({int(x) for x in e.flatten()})
-    pairs = pd.DataFrame(
-        {
-            "a": rng.choice(vs, 50),
-            "b": rng.choice(vs, 50),
-        }
-    ).drop_duplicates()
-    pairs = pairs[pairs.a != pairs.b]
-    got = common_neighbor_counts(edges_df(spark, e), spark.createDataFrame(pairs))
-    assert_equivalent(
-        got,
-        """
-        WITH sym AS (
-            SELECT src AS u, dst AS w FROM edges
-            UNION ALL SELECT dst AS u, src AS w FROM edges
-        ),
-        cnt AS (
-            SELECT p.a, p.b, COUNT(*) AS c
-            FROM pairs p
-            JOIN sym s1 ON s1.u = p.a
-            JOIN sym s2 ON s2.u = p.b AND s2.w = s1.w
-            GROUP BY p.a, p.b
-        )
-        SELECT p.a, p.b, COALESCE(c.c, 0) AS common
-        FROM pairs p LEFT JOIN cnt c ON c.a = p.a AND c.b = p.b
-        """,
-        edges=_pdf(e),
-        pairs=pairs,
-    )

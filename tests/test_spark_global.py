@@ -84,11 +84,11 @@ def test_round_cap_reported(reduced):
 
 
 def test_converged_runs_reach_fixpoint(reduced):
-    # Lemma 4 runs in round 1 only: no later round may leave a support-0 edge.
-    for name, (_, r) in reduced.items():
+    # Lemma 4 runs in round 1 only; a converged run still ends exactly at H*.
+    for name, (e, r) in reduced.items():
         if r.converged:
             edges = [(row["src"], row["dst"]) for row in r.edges.collect()]
-            assert_reduction_fixpoint(LocalGraph.from_edges(edges))
+            assert_reduction_fixpoint(LocalGraph.from_edges(edges), LocalGraph.from_edges(e))
 
 
 def test_delaunay_barely_reduced(reduced):
@@ -101,11 +101,15 @@ def test_star_heavily_reduced(reduced):
     assert r.vertex_ratio > 0.4
 
 
-@pytest.mark.parametrize("name", GRAPHS)
+@pytest.mark.parametrize("name", GRAPHS + list(SMALL))
 def test_ratios_close_to_local(reduced, name):
-    # Batch order differs from the sequential queue, but the fixpoints land
-    # in the same place for these families.
+    # Batch order differs from the sequential queue, but every order of the
+    # rules ends at H* (the fixpoint lemma): residuals, reported cliques and
+    # ratios are equal exactly.
     e, r = reduced[name]
-    _, _, st = global_reduce_local(LocalGraph.from_edges(e))
-    assert abs(r.vertex_ratio - st.vertex_ratio) < 0.05
-    assert abs(r.edge_ratio - st.edge_ratio) < 0.05
+    assert r.converged
+    local, pre, st = global_reduce_local(LocalGraph.from_edges(e))
+    assert {(row["src"], row["dst"]) for row in r.edges.collect()} == set(local.edges())
+    rep = {tuple(int(t) for t in row["clique"].split(",")) for row in r.cliques.collect()}
+    assert rep == set(pre)
+    assert (r.vertex_ratio, r.edge_ratio) == (st.vertex_ratio, st.edge_ratio)
