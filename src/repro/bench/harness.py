@@ -118,15 +118,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def degree_histogram(g: LocalGraph) -> dict[int, int]:
-    """#vertices per degree — Figure 11's x-axis bucketing."""
-    out: dict[int, int] = {}
-    for v in g.adj:
-        d = len(g.adj[v])
-        out[d] = out.get(d, 0) + 1
-    return out
-
-
 def visits_by_degree(g: LocalGraph, res: EngineResult) -> dict[int, float]:
     """Average visit count per vertex, bucketed by original degree."""
     assert res.metrics.visits is not None, "run with track_visits=True"
@@ -176,7 +167,6 @@ __all__ = [
     "run_algorithm",
     "sweep",
     "format_table",
-    "degree_histogram",
     "visits_by_degree",
     "cliques_by_degree",
     "graph_stats_local",

@@ -29,7 +29,7 @@ terminal dominator re-establishes Lemma 9 exactly.
 """
 from __future__ import annotations
 
-from ..mce.bitgraph import LocalGraph
+from ..mce.bitgraph import Subproblem
 
 _RETAIN, _DROP = 0, 1
 
@@ -37,57 +37,36 @@ _RETAIN, _DROP = 0, 1
 def update_ignore_ids(
     ignore_id: dict[int, int],
     ignore_dom: dict[int, int],
-    v: int,
+    sub: Subproblem,
     i: int,
-    p_ids: list[int],
-    nplus: dict[int, list[int]],
     rank: dict[int, int],
+    nplus: dict[int, list[int]],
 ) -> None:
-    """Algorithm 8 lines 6-11 for the subproblem induced by ``v`` (order
-    ``i``, candidates ``p_ids`` = N⁺(v) in rank order; ``nplus`` maps each
-    vertex to its ``N⁺``, in any order). Mutates ``ignore_id``/``ignore_dom``.
+    """Algorithm 8 lines 6-11 for the subproblem ``sub`` of root ``v`` at
+    order ``i``, read off its bitmask (``nplus`` maps each vertex to its
+    ``N⁺``, in any order). Mutates ``ignore_id``/``ignore_dom``.
 
-    Rule A can hold only for the lowest-rank candidate ``p_ids[0]``: every
-    other ``u`` misses ``p_ids[0]`` from ``N⁺(u)``. Since ``u ∉ N⁺(u)``, it
-    holds there iff ``|N⁺(u) ∩ P| = |P| − 1``."""
-    if not p_ids:
-        return
-    pset = frozenset(p_ids)
-    psize = len(p_ids)
-    u = p_ids[0]
-    if len(pset.intersection(nplus[u])) == psize - 1:
-        # Rule A: v is dominated by u in every subproblem after ord(u).
-        if rank[u] < ignore_id[v]:
-            ignore_id[v] = rank[u]
-            ignore_dom[v] = u
-        rest = p_ids[1:]  # else-if: rule B is not tested for u
-    else:
-        rest = p_ids
-    for u in rest:
-        pu = nplus[u]
-        if len(pu) <= psize - 1 and pset.issuperset(pu):
+    Per candidate ``u`` at local index ``j``, the bits of ``P`` above ``j``
+    are ``N⁺(u) ∩ P``; with ``shared`` their count and ``p = |P|``:
+    ``shared == p − 1`` is rule A, else ``shared == |N⁺(u)|`` is rule B.
+    This is the pair test the Spark pipeline evaluates in SQL
+    (``spark_rmce._ignore_table``). Only ``j = 0`` can reach ``p − 1``."""
+    v = sub.root
+    p = sub.p
+    pmask = sub.p_mask
+    for j in range(p):
+        u = sub.ids[j]
+        shared = ((sub.adj[j] & pmask) >> (j + 1)).bit_count()
+        if shared == p - 1:
+            # Rule A: v is dominated by u in every subproblem after ord(u).
+            if rank[u] < ignore_id[v]:
+                ignore_id[v] = rank[u]
+                ignore_dom[v] = u
+        elif shared == len(nplus[u]):
             # Rule B: u is dominated by v in every subproblem after i.
             if i < ignore_id[u]:
                 ignore_id[u] = i
                 ignore_dom[u] = v
-
-
-def compute_ignore_ids(
-    g: LocalGraph, order: list[int], rank: dict[int, int]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Closed-form ``(ignoreId, dominator)``: run both rules for every vertex.
-    Equals the engine's incremental sweep because updates never feed back
-    into the rules — this is the form the Spark pipeline parallelizes."""
-    n = len(order)
-    nplus = {
-        v: sorted((u for u in g.adj[v] if rank[u] > rank[v]), key=rank.__getitem__)
-        for v in order
-    }
-    ignore_id = {v: n for v in order}
-    ignore_dom: dict[int, int] = {}
-    for i, v in enumerate(order):
-        update_ignore_ids(ignore_id, ignore_dom, v, i, nplus[v], nplus, rank)
-    return ignore_id, ignore_dom
 
 
 def reduce_forbidden(

@@ -12,10 +12,10 @@ same configuration grid covers BKx, RMCEx and the Table-3 variants):
    edge between two candidates ``a, b ∈ N⁺(task)``.
 4. **ignoreId precompute**: Algorithm 8's two dominance rules depend only on
    the static ``N⁺`` sets, so the whole table — threshold *and* arg-min
-   dominator — comes from the triangle rows (per pair ``(v, u)``, the rows
-   with ``task = v, a = u`` count ``N⁺(v) ∩ N⁺(u)``) and the out-degrees
-   (same else-if precedence and tie-breaking as the sequential sweep; a test
-   asserts exact equality with ``forbidden_reduction.compute_ignore_ids``).
+   dominator — comes from the triangle rows and the out-degrees by the
+   pair test the local engine applies to each root's bitmask
+   (``forbidden_reduction.update_ignore_ids``); a test asserts both equal
+   the rules' set definitions.
 5. **Subproblem materialization**: for every task vertex ``v`` — candidate
    rows (``N⁺(v)`` with ranks), the triangle rows as candidate-candidate
    adjacency, forbidden rows (``N⁻(v)`` with rank/ignoreId/dominator),
@@ -109,10 +109,13 @@ def _pp_rows(oriented: DataFrame, edges: DataFrame) -> DataFrame:
 
 
 def _ignore_table(oriented: DataFrame, pp: DataFrame) -> DataFrame:
-    """Closed-form Algorithm 8: ``(v, ignore_id, dom)`` for vertices with an
-    entry. ``oriented`` is ``(v, u, rv, ru)`` with rank(v) < rank(u) and
-    ``pp`` is ``_pp_rows(oriented, ·)``: its rows with ``task = v, a = u``
-    are ``N⁺(v) ∩ N⁺(u)``."""
+    """Algorithm 8's ``(v, ignore_id, dom)`` for vertices with an entry.
+    ``oriented`` is ``(v, u, rv, ru)`` with rank(v) < rank(u) and ``pp`` is
+    ``_pp_rows(oriented, ·)``: its rows with ``task = v, a = u`` are
+    ``N⁺(v) ∩ N⁺(u)``, counted as ``cshared``. The pair test of
+    ``forbidden_reduction.update_ignore_ids``: ``cshared == |N⁺(v)| − 1``
+    is rule A, else ``cshared == |N⁺(u)|`` is rule B; each vertex keeps
+    its min-rank dominator."""
     cnt = pp.groupBy(F.col("task").alias("v"), F.col("a").alias("u")).agg(
         F.count("*").alias("cshared")
     )
@@ -147,12 +150,14 @@ def _ignore_table(oriented: DataFrame, pp: DataFrame) -> DataFrame:
     )
 
 
-def _make_kernel(recursion: str, dynamic: bool, maxcheck: bool):
+def _make_kernel(recursion: str, dynamic: bool):
     """Build the applyInPandas kernel (closure carries the configuration).
 
     Each task group is one root: its payload becomes a task-local
     ``LocalGraph`` (candidates and X rows are its vertices, pp and xp rows
     its edges) that ``solve_root`` solves exactly as the local engine does.
+    With maxcheck off every X row carries ``_NO_ENTRY``, so the drop keeps
+    all of ``X``.
     """
 
     def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -187,8 +192,7 @@ def _make_kernel(recursion: str, dynamic: bool, maxcheck: bool):
             cliques.append(",".join(str(t) for t in sorted(vs)))
 
         solve_root(
-            LocalGraph(adj), root, i, p_ids, x_ids,
-            (ignore_id, ignore_dom) if maxcheck else None,
+            LocalGraph(adj), root, i, p_ids, x_ids, (ignore_id, ignore_dom),
             rank, recursion, dynamic, report, metrics,
         )
         zeros = (0,) * len(_COUNTERS)
@@ -291,7 +295,7 @@ def enumerate_cliques_spark(
         cand_rows.select("task").distinct(), "task", "left_semi"
     )
 
-    kernel = _make_kernel(recursion, dynamic, maxcheck)
+    kernel = _make_kernel(recursion, dynamic)
     out = (
         payload.repartition("task")
         .groupBy("task")

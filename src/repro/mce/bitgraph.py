@@ -33,9 +33,6 @@ class LocalGraph:
             adj.setdefault(v, set()).add(u)
         return cls(adj)
 
-    def copy(self) -> "LocalGraph":
-        return LocalGraph({v: set(nb) for v, nb in self.adj.items()})
-
     @property
     def n(self) -> int:
         return len(self.adj)
@@ -44,14 +41,8 @@ class LocalGraph:
     def m(self) -> int:
         return sum(len(nb) for nb in self.adj.values()) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def max_degree(self) -> int:
         return max((len(nb) for nb in self.adj.values()), default=0)
-
-    def vertices(self) -> list[int]:
-        return list(self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, nb in self.adj.items() for v in nb if u < v]

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.forbidden_reduction import reduce_forbidden, update_ignore_ids
 from ..core.global_reduction import ReductionStats, global_reduce_local
-from .bitgraph import LocalGraph, build_subproblem, degeneracy_order
+from .bitgraph import LocalGraph, Subproblem, build_subproblem, degeneracy_order
 from .metrics import Metrics
 from .recursions import run_subproblem
 
@@ -90,12 +90,13 @@ def enumerate_cliques(
 
     for i, v in enumerate(order):
         x_ids = [u for u in g2.adj[v] if rank[u] < i]
-        solve_root(
+        sub = solve_root(
             g2, v, i, later[v], x_ids, ignore, rank, recursion, dynamic, report, metrics
         )
-        if ignore is not None:
+        if ignore is not None and sub is not None:
             # Step i only sets values >= i, which no drop at step i reads.
-            update_ignore_ids(*ignore, v, i, later[v], later, rank)
+            # A skipped frame has no candidates, so no rule to test.
+            update_ignore_ids(*ignore, sub, i, rank, later)
 
     metrics.cliques = len(reported)
     return EngineResult(
@@ -119,8 +120,9 @@ def solve_root(
     dynamic: bool,
     report,
     metrics: Metrics,
-) -> None:
-    """Solve root ``v``'s subproblem ``({v}, p_ids, x_ids)`` at order ``i``.
+) -> Subproblem | None:
+    """Solve root ``v``'s subproblem ``({v}, p_ids, x_ids)`` at order ``i``
+    and return its bitmask form, or ``None`` if the frame was skipped.
 
     ``p_ids`` is ``N⁺(v)`` in rank order and ``x_ids`` is ``N⁻(v)``.
     ``ignore = (ignore_id, ignore_dom)`` turns on Algorithm 8's chain-sound
@@ -141,9 +143,10 @@ def solve_root(
     if not p_ids and x_kept:
         # No candidates and maximality already broken: skip the frame
         # entirely (still a subproblem for the Fig. 10 accounting above).
-        return
+        return None
     sub = build_subproblem(g, v, p_ids, x_kept)
     run_subproblem(sub, recursion, dynamic, report, metrics)
+    return sub
 
 
 def algorithm_config(name: str) -> dict:

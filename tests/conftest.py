@@ -47,6 +47,30 @@ def assert_reduction_fixpoint(reduced: LocalGraph, g: LocalGraph) -> None:
     )
 
 
+def ignore_ids_by_definition(g: LocalGraph, order: list[int], rank: dict[int, int]):
+    """Algorithm 8's ``(ignoreId, dominator)`` straight from the rules'
+    set definitions, for every pair ``(v, u ∈ N⁺(v))`` with ``P = N⁺(v)``:
+    rule A (``P∖{u} ⊆ N⁺(u)``) offers ``u`` as dominator of ``v``; else
+    rule B (``N⁺(u) ⊆ P∖{u}``) offers ``v`` as dominator of ``u``. Each
+    vertex keeps its min-rank dominator, and ``len(order)`` without one."""
+    nplus = {v: {u for u in g.adj[v] if rank[u] > rank[v]} for v in order}
+    offers = {v: [] for v in order}
+    for v in order:
+        p = nplus[v]
+        for u in p:
+            if p - {u} <= nplus[u]:
+                offers[v].append(u)
+            elif nplus[u] <= p - {u}:
+                offers[u].append(v)
+    ignore_id, dom = {}, {}
+    for w, doms in offers.items():
+        ignore_id[w] = len(order)
+        if doms:
+            dom[w] = min(doms, key=rank.__getitem__)
+            ignore_id[w] = rank[dom[w]]
+    return ignore_id, dom
+
+
 # Named small graphs with hand-checkable clique structure.
 KNOWN_GRAPHS: dict[str, list[tuple[int, int]]] = {
     "triangle": [(0, 1), (1, 2), (0, 2)],

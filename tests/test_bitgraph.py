@@ -20,15 +20,7 @@ def test_from_edges_basic():
     g = LocalGraph.from_edges([(0, 1), (1, 2), (1, 0), (2, 2)])
     assert g.n == 3 and g.m == 2
     assert g.adj[1] == {0, 2}
-    assert g.degree(1) == 2 and g.degree(0) == 1
     assert g.max_degree() == 2
-
-
-def test_copy_is_deep():
-    g = LocalGraph.from_edges([(0, 1)])
-    h = g.copy()
-    h.adj[0].add(99)
-    assert 99 not in g.adj[0]
 
 
 def test_edges_roundtrip():

@@ -1,20 +1,17 @@
 """Maximality-check reduction (Lemma 9 / Algorithm 8): soundness repair,
-closed-form equivalence, and engine-level equality."""
+the bitmask pair test against the rules' set definitions, and engine-level
+equality."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.forbidden_reduction import (
-    compute_ignore_ids,
-    reduce_forbidden,
-    update_ignore_ids,
-)
-from repro.mce.bitgraph import LocalGraph, degeneracy_order
+from repro.core.forbidden_reduction import reduce_forbidden, update_ignore_ids
+from repro.mce.bitgraph import LocalGraph, build_subproblem, degeneracy_order
 from repro.mce.engine import enumerate_cliques
 from repro.mce.recursions import RECURSIONS
 from repro.mce.reference import maximal_cliques_bruteforce
-from tests.conftest import KNOWN_GRAPHS, random_edges
+from tests.conftest import KNOWN_GRAPHS, ignore_ids_by_definition, random_edges
 
 # The 10-vertex graph on which Algorithm 8's drop rule erases every witness
 # of the non-maximal clique {6,8} via the dominance cycle 0 -> 1 -> 3 -> 0
@@ -37,7 +34,7 @@ def test_paper_rule_nonchained_unsound():
     g = LocalGraph.from_edges(np.array(CYCLE_COUNTEREXAMPLE))
     order, _, _ = degeneracy_order(g)
     rank = {v: i for i, v in enumerate(order)}
-    ignore_id, _dom = compute_ignore_ids(g, order, rank)
+    ignore_id, _dom = ignore_ids_by_definition(g, order, rank)
     i6 = rank[6]
     x6 = [u for u in g.adj[6] if rank[u] < i6]
     naive_kept = [u for u in x6 if ignore_id[u] >= i6]
@@ -57,61 +54,20 @@ def test_chain_resolution_repairs_counterexample():
     # and the chain resolver retains at least one dominator for vertex 6
     order, _, _ = degeneracy_order(g)
     rank = {v: i for i, v in enumerate(order)}
-    ignore_id, dom = compute_ignore_ids(g, order, rank)
+    ignore_id, dom = ignore_ids_by_definition(g, order, rank)
     i6 = rank[6]
     x6 = [u for u in g.adj[6] if rank[u] < i6]
     kept = reduce_forbidden(x6, i6, ignore_id, dom, rank)
     assert kept, "chain resolution must keep a maximality witness"
 
 
-def test_closed_form_equals_incremental():
-    for seed in range(15):
-        e = random_edges(14, 0.4, 500 + seed)
-        if not len(e):
-            continue
-        g = LocalGraph.from_edges(e)
-        order, _, _ = degeneracy_order(g)
-        rank = {v: i for i, v in enumerate(order)}
-        closed_id, closed_dom = compute_ignore_ids(g, order, rank)
-        # incremental sweep (what the engine does)
-        nplus = {v: frozenset(u for u in g.adj[v] if rank[u] > rank[v]) for v in order}
-        inc_id = {v: len(order) for v in order}
-        inc_dom: dict[int, int] = {}
-        for i, v in enumerate(order):
-            p_ids = sorted(nplus[v], key=rank.__getitem__)
-            update_ignore_ids(inc_id, inc_dom, v, i, p_ids, nplus, rank)
-        assert inc_id == closed_id
-        assert inc_dom == closed_dom
-
-
-def _ignore_ids_by_definition(g, order, rank):
-    """Algorithm 8's ``(ignoreId, dominator)`` straight from the rules'
-    set definitions, for every pair ``(v, u ∈ N⁺(v))`` with ``P = N⁺(v)``:
-    rule A (``P∖{u} ⊆ N⁺(u)``) offers ``u`` as dominator of ``v``; else
-    rule B (``N⁺(u) ⊆ P∖{u}``) offers ``v`` as dominator of ``u``. Each
-    vertex keeps its min-rank dominator, and ``len(order)`` without one."""
-    nplus = {v: {u for u in g.adj[v] if rank[u] > rank[v]} for v in order}
-    offers = {v: [] for v in order}
-    for v in order:
-        p = nplus[v]
-        for u in p:
-            if p - {u} <= nplus[u]:
-                offers[v].append(u)
-            elif nplus[u] <= p - {u}:
-                offers[u].append(v)
-    ignore_id, dom = {}, {}
-    for w, doms in offers.items():
-        ignore_id[w] = len(order)
-        if doms:
-            dom[w] = min(doms, key=rank.__getitem__)
-            ignore_id[w] = rank[dom[w]]
-    return ignore_id, dom
-
-
 def test_ignore_ids_match_definition():
+    """The engine's sweep, ``update_ignore_ids`` on every root's subproblem
+    bitmask in order, equals the rules' set definitions."""
     graphs = [CYCLE_COUNTEREXAMPLE, KNOWN_GRAPHS["paper_fig2"]]
     graphs += [random_edges(n, p, 300 + seed) for seed in range(40)
                for n, p in [(9, 0.5), (13, 0.35), (14, 0.7)]]
+    graphs += [random_edges(14, 0.4, 500 + seed) for seed in range(15)]
     rule_a = 0
     for e in graphs:
         if not len(e):
@@ -119,8 +75,16 @@ def test_ignore_ids_match_definition():
         g = LocalGraph.from_edges(np.array(e))
         order, _, _ = degeneracy_order(g)
         rank = {v: i for i, v in enumerate(order)}
-        want = _ignore_ids_by_definition(g, order, rank)
-        assert compute_ignore_ids(g, order, rank) == want
+        later = {
+            v: sorted((u for u in g.adj[v] if rank[u] > rank[v]), key=rank.__getitem__)
+            for v in order
+        }
+        ignore = ({v: len(order) for v in order}, {})
+        for i, v in enumerate(order):
+            sub = build_subproblem(g, v, later[v], [])
+            update_ignore_ids(*ignore, sub, i, rank, later)
+        want = ignore_ids_by_definition(g, order, rank)
+        assert ignore == want
         rule_a += sum(rank[d] > rank[w] for w, d in want[1].items())
     assert rule_a, "no graph exercises rule A"
 
@@ -134,7 +98,7 @@ def test_dominators_always_in_forbidden_set():
         g = LocalGraph.from_edges(e)
         order, _, _ = degeneracy_order(g)
         rank = {v: i for i, v in enumerate(order)}
-        ignore_id, dom = compute_ignore_ids(g, order, rank)
+        ignore_id, dom = ignore_ids_by_definition(g, order, rank)
         for i, v in enumerate(order):
             x = [u for u in g.adj[v] if rank[u] < i]
             xs = set(x)

@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.forbidden_reduction import compute_ignore_ids
 from repro.core.spark_rmce import (
     _COUNTERS,
     _ignore_table,
@@ -20,6 +19,7 @@ from repro.mce.engine import enumerate_cliques
 from repro.mce.recursions import RECURSIONS
 from repro.mce.reference import maximal_cliques_bruteforce
 
+from tests.conftest import ignore_ids_by_definition
 from tests.test_forbidden_reduction import CYCLE_COUNTEREXAMPLE
 
 
@@ -130,24 +130,24 @@ def test_metrics_surface(spark):
 
 
 def test_ignore_table_matches_local(spark):
-    """The join-based closed-form Algorithm 8 must equal the sequential
-    sweep — same thresholds AND same arg-min dominators — when evaluated
-    on the identical (distributed) degeneracy order."""
-    e = edges_for("ca-CondMat", "unit")
-    df = edges_df(spark, e).localCheckpoint(eager=True)
-    order_df, _ = degeneracy_order_spark(spark, df)
-    ranks = order_df.select("v", "rank")
-    rank = {r["v"]: r["rank"] for r in ranks.collect()}
-    order = [v for v, _ in sorted(rank.items(), key=lambda kv: kv[1])]
-    g = LocalGraph.from_edges(e)
-    local_id, local_dom = compute_ignore_ids(g, order, rank)
-    oriented = _orient(symmetrize(df), ranks)
-    table = _ignore_table(oriented, _pp_rows(oriented, df))
-    got = {r["v"]: (r["ignore_id"], r["dom"]) for r in table.collect()}
-    n = len(order)
-    for v in order:
-        if v in got:
-            assert local_id[v] == got[v][0], f"threshold mismatch at {v}"
-            assert local_dom[v] == got[v][1], f"dominator mismatch at {v}"
-        else:
-            assert local_id[v] == n, f"{v} has a local entry but no Spark row"
+    """The join-based Algorithm 8 table must equal the rules' set
+    definitions — same thresholds AND same arg-min dominators — when
+    evaluated on the identical (distributed) degeneracy order."""
+    for e in (edges_for("ca-CondMat", "unit"), np.array(CYCLE_COUNTEREXAMPLE)):
+        df = edges_df(spark, e).localCheckpoint(eager=True)
+        order_df, _ = degeneracy_order_spark(spark, df)
+        ranks = order_df.select("v", "rank")
+        rank = {r["v"]: r["rank"] for r in ranks.collect()}
+        order = [v for v, _ in sorted(rank.items(), key=lambda kv: kv[1])]
+        g = LocalGraph.from_edges(e)
+        want_id, want_dom = ignore_ids_by_definition(g, order, rank)
+        oriented = _orient(symmetrize(df), ranks)
+        table = _ignore_table(oriented, _pp_rows(oriented, df))
+        got = {r["v"]: (r["ignore_id"], r["dom"]) for r in table.collect()}
+        n = len(order)
+        for v in order:
+            if v in got:
+                assert want_id[v] == got[v][0], f"threshold mismatch at {v}"
+                assert want_dom[v] == got[v][1], f"dominator mismatch at {v}"
+            else:
+                assert want_id[v] == n, f"{v} has an entry but no Spark row"
