@@ -5,8 +5,9 @@ Runs the *distributed* global reduction (``repro.core.spark_global``) on
 every catalog analog and reports the fraction of vertices/edges deleted —
 the paper's key observations being full deletion on the road graphs and
 (near-)zero deletion on the delaunay analog. With ``--engine spark`` it also
-runs the local reduction on the same edges and exits non-zero unless both
-leave the same edges and report the same cliques (the fixpoint is unique).
+reports each run's rounds, runs the local reduction on the same edges and
+exits non-zero unless both leave the same edges and report the same cliques
+(the fixpoint is unique).
 
 Usage::
 
@@ -16,6 +17,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import time
 
 from repro.bench.jobutil import emit, job_session
 from repro.core.global_reduction import global_reduce_local
@@ -35,17 +37,22 @@ def main() -> None:
     names = args.graphs.split(",") if args.graphs else GRAPH_NAMES
 
     spark = job_session("fig8") if args.engine == "spark" else None
+    cols = ["Graph", "deleted vertices", "deleted edges", "cliques pre-reported"]
+    if spark is not None:
+        cols.append("rounds")
     lines = [
         "## Figure 8 (as table) — global reduction ratios",
         "",
-        "| Graph | deleted vertices | deleted edges | cliques pre-reported |",
-        "|---|---|---|---|",
+        "| " + " | ".join(cols) + " |",
+        "|---" * len(cols) + "|",
     ]
     for name in names:
         e = edges_for(name, args.scale)
         local, pre, st = global_reduce_local(LocalGraph.from_edges(e))
         vr, er, nc = st.vertex_ratio, st.edge_ratio, len(pre)
+        cells = []
         if spark is not None:
+            t0 = time.perf_counter()
             r = global_reduce_spark(spark, edges_df(spark, e))
             if not r.converged:
                 raise SystemExit(
@@ -60,7 +67,9 @@ def main() -> None:
                     "differ from the local engine's"
                 )
             vr, er, nc = r.vertex_ratio, r.edge_ratio, len(rows)
-        lines.append(f"| {name} | {vr:.1%} | {er:.1%} | {nc} |")
+            cells.append(str(r.rounds))
+            print(f"[fig8] {name}: {r.rounds} rounds, {time.perf_counter() - t0:.1f} s", flush=True)
+        lines.append("| " + " | ".join([name, f"{vr:.1%}", f"{er:.1%}", str(nc), *cells]) + " |")
         print(f"[fig8] {name}: v={vr:.1%} e={er:.1%}", flush=True)
     if spark is not None:
         lines += [

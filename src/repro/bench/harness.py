@@ -9,6 +9,7 @@ would otherwise drown sub-second algorithmic differences.
 """
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 
@@ -46,11 +47,17 @@ def load_graph(name: str, scale: str = "bench") -> LocalGraph:
 def run_algorithm(
     g: LocalGraph, algorithm: str, repeats: int = 1, track_visits: bool = False
 ) -> RunRow:
-    """Time ``algorithm`` (paper name) on ``g``; keeps the best of ``repeats``."""
+    """Time ``algorithm`` (paper name) on ``g``; keeps the best of ``repeats``.
+
+    Each timed call starts with the previous result dropped and garbage
+    collected, so no repeat pays for an earlier one's collection.
+    """
     cfg = algorithm_config(algorithm)
     best = float("inf")
     res: EngineResult | None = None
     for _ in range(repeats):
+        res = None
+        gc.collect()
         t0 = time.perf_counter()
         res = enumerate_cliques(g, track_visits=track_visits, **cfg)
         best = min(best, time.perf_counter() - t0)

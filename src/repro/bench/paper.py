@@ -49,17 +49,3 @@ PAPER_FIG9_MAX_RATIO: dict[str, float] = {
     "RMCEfacen": 0.045,
     "RMCErevised": 0.205,
 }
-
-# §7.3 (Fig. 8) notable global-reduction observations.
-PAPER_FIG8_NOTES = {
-    "fully_reduced": ("inf-road-usa", "roadNet-CA"),  # 100% vertices+edges
-    "not_reduced": ("sc-delaunay_n23",),  # 0% deleted
-    "vertex_ratio_over_35pct_count": 12,  # ≥35% vertices deleted in 12 graphs
-    "edge_ratio_over_20pct_count": 9,  # ≥20% edges deleted in 9 graphs
-}
-
-# §7.3 (Fig. 10) notable forbidden-set reduction observations.
-PAPER_FIG10_NOTES = {
-    "r_vertex_near_50pct": ("ca-CondMat", "com-dblp", "web-Google", "web-Stanford"),
-    "r_subproblem_near_40pct": ("ca-CondMat", "com-dblp", "flickr", "sc-delaunay_n23"),
-}

@@ -13,27 +13,33 @@ predecessor left:
    except that of its ``(u, w)``, which it keeps with support ≥ 1 or
    deletes; so later rounds find no support-0 edge and skip the batch
    (the no-cascade lemma of ``repro.core.global_reduction``).
-2. **Degree-2 batch** (Lemma 3), restricted to a *distance-2 independent
-   set* of the degree-2 candidates (a candidate fires only if its id is
-   below that of every other candidate adjacent to it or sharing a neighbor
-   with it): concurrent firings then touch disjoint edge sets and
-   cannot invalidate each other's common-neighbor tests, making the batch
-   equivalent to some sequential application order. The min-id candidate
-   always fires, so rounds make progress; random ids give geometric
-   convergence. Every edge left by batch 1 lies in a triangle of surviving
-   edges, so a candidate ``v``'s neighbors ``u, w`` are adjacent: each
+2. **Degree-2 batch** (Lemma 3): *every* degree-2 vertex ``v`` fires,
+   with its neighbor pair ``(u, w)``. Every edge left by batch 1 lies in a
+   triangle of surviving edges, so ``u`` and ``w`` are adjacent: the
    firing reports ``{v, u, w}``, deletes ``(v, u)`` and ``(v, w)``, and
-   deletes ``(u, w)`` too when ``v`` is their only common neighbor.
+   deletes ``(u, w)`` iff every common neighbor of ``u`` and ``w`` fires
+   in this round (the number of firings with pair ``(u, w)`` equals
+   ``|N(u) ∩ N(w)|``). A triangle with several degree-2 members is
+   reported by each of them, so the round's clique rows are deduplicated.
+
+The batch is sound. After batch 1 every degree is 0 or at least 2, and
+firing the round's degree-2 set ``D`` one vertex at a time, in any order,
+does what the batch does. If a member ``x`` of ``D`` loses an edge before
+its turn, a ``D``-neighbor ``y`` of ``x`` fired first, and that firing
+also deleted ``x``'s other edge, because ``y`` was the only possible common
+neighbor of its pair; ``x`` is left isolated with its triangle reported.
+And ``(u, w)`` loses its last common neighbor exactly when all of its
+common neighbors are in ``D``. So by the fixpoint lemma of
+``repro.core.global_reduction`` a converged run ends at its graph H*: it
+leaves the same edges and reports the same cliques as
+``global_reduce_local``. No triangle is reported in two rounds, since the
+round that reports it deletes one of its vertices.
 
 Each batch's rewrite is materialized once (``localCheckpoint``); its count,
-clique rows and edge deletions all read that checkpoint. The surviving edge
-count is tracked, not recounted: support-0 edges are distinct, and the
-deletions of distance-2 independent firings are disjoint edges of the
-snapshot, so a round removes exactly ``n_nte + 2·n_fire + n_drop_uw`` edges.
-The loop stops once no edge remains or a round changes nothing. A converged
-run ends at the graph H* of the fixpoint lemma in
-``repro.core.global_reduction``: it leaves the same edges and reports the
-same cliques as ``global_reduce_local``.
+clique rows and edge deletions all read that checkpoint. Support-0 edges
+are distinct, so batch 1 removes exactly its count of edges; firings share
+edges, so after batch 2 the checkpointed residual is counted. The loop
+stops once no edge remains or a round changes nothing.
 
 Degree-0 vertices vanish implicitly (edge-table representation; Lemma 1
 reports nothing). Cliques are emitted as canonical comma-joined id strings.
@@ -89,50 +95,30 @@ class SparkReductionResult:
 
 
 def _firings(edges: DataFrame) -> DataFrame:
-    """Distance-2 independent degree-2 firings ``(v, u, w, drop_uw)``, u < w.
+    """Every degree-2 vertex's firing ``(v, u, w, drop_uw)``, u < w.
 
     Assumes every edge lies in a triangle (Lemma 4 ran in round 1, and no
     later firing leaves an edge with support 0).
     """
-    cand = degrees(edges).where(F.col("degree") == 2).select("v")
     sym = symmetrize(edges)
-    # Incident rows of candidates: exactly two per candidate.
-    inc = sym.join(cand.withColumnRenamed("v", "src"), "src", "left_semi").select(
-        F.col("src").alias("v"), F.col("dst").alias("nbr")
-    )
-    # Conflict ids: candidate ids within distance ≤ 2 (shared neighbor).
-    one_hop = inc.join(
-        cand.withColumnRenamed("v", "nbr"), "nbr", "left_semi"
-    ).select("v", F.col("nbr").alias("other"))
-    two_hop = (
-        inc.join(
-            sym.select(F.col("src").alias("nbr"), F.col("dst").alias("other")),
-            "nbr",
-        )
-        .where(F.col("other") != F.col("v"))
-        .join(cand.withColumnRenamed("v", "other"), "other", "left_semi")
-        .select("v", "other")
-    )
-    conflict = one_hop.union(two_hop).groupBy("v").agg(F.min("other").alias("min_other"))
-    fire = (
-        cand.join(conflict, "v", "left")
-        .where(F.col("min_other").isNull() | (F.col("v") < F.col("min_other")))
-        .select("v")
-    )
     pair = (
-        inc.join(fire, "v", "left_semi")
-        .groupBy("v")
-        .agg(F.min("nbr").alias("u"), F.max("nbr").alias("w"))
+        sym.groupBy(F.col("src").alias("v"))
+        .agg(F.count("*").alias("degree"), F.min("dst").alias("u"), F.max("dst").alias("w"))
+        .where(F.col("degree") == 2)
+        .drop("degree")
     )
-    # Common neighbors of u and w; v is always one, so no firing is lost.
+    # Common neighbors of each distinct pair; its firing vertices are among them.
     n1 = sym.select(F.col("src").alias("u"), F.col("dst").alias("t"))
     n2 = sym.select(F.col("src").alias("w"), F.col("dst").alias("t"))
-    return (
-        pair.join(n1, "u")
+    drop = (
+        pair.groupBy("u", "w")
+        .agg(F.count("*").alias("n_fire"))
+        .join(n1, "u")
         .join(n2, ["w", "t"])
-        .groupBy("v", "u", "w")
-        .agg((F.count("*") == 1).alias("drop_uw"))
+        .groupBy("u", "w", "n_fire")
+        .agg((F.count("*") == F.col("n_fire")).alias("drop_uw"))
     )
+    return pair.join(drop, ["u", "w"]).select("v", "u", "w", "drop_uw")
 
 
 def global_reduce_spark(
@@ -164,12 +150,12 @@ def global_reduce_spark(
         n_fire = 0
         if m:
             fire = _firings(edges).localCheckpoint(eager=True)
-            n_fire, n_drop_uw = fire.agg(
-                F.count("*"), F.count(F.when(F.col("drop_uw"), 1))
-            ).first()
+            n_fire = fire.count()
             if n_fire:
                 clique_parts.append(
-                    fire.select(_clique3(F.col("v"), F.col("u"), F.col("w")).alias("clique"))
+                    fire.select(
+                        _clique3(F.col("v"), F.col("u"), F.col("w")).alias("clique")
+                    ).distinct()
                 )
                 drops = (
                     fire.select(*_edge("v", "u"))
@@ -177,7 +163,7 @@ def global_reduce_spark(
                     .union(fire.where("drop_uw").select(*_edge("u", "w")))
                 )
                 edges = remove_edges(edges, drops).localCheckpoint(eager=True)
-                m -= 2 * n_fire + n_drop_uw
+                m = edges.count()
         rounds += 1
         changed = bool(n_nte or n_fire)
     return SparkReductionResult(

@@ -29,18 +29,6 @@ def _canonical(edges: np.ndarray) -> np.ndarray:
     return e
 
 
-def erdos_renyi(n: int, m: int, seed: int = 0) -> np.ndarray:
-    """G(n, m)-style uniform random graph with ~m edges."""
-    g = np.random.default_rng(seed)
-    # Oversample to survive dedup / self-loop removal.
-    k = int(m * 1.3) + 16
-    e = _canonical(g.integers(0, n, size=(k, 2)))
-    if len(e) > m:
-        e = e[g.choice(len(e), size=m, replace=False)]
-        e = e[np.lexsort((e[:, 1], e[:, 0]))]
-    return e
-
-
 def barabasi_albert(
     n: int, m_attach: int, seed: int = 0, triad_p: float = 0.0
 ) -> np.ndarray:

@@ -47,12 +47,6 @@ def test_catalog_unknown_scale_rejected():
         get_spec("flickr").edges("huge")
 
 
-def test_erdos_renyi_sizing():
-    e = gen.erdos_renyi(100, 300, seed=1)
-    _assert_canonical(e)
-    assert len(e) == 300
-
-
 def test_barabasi_albert_degrees():
     e = gen.barabasi_albert(200, 3, seed=2)
     _assert_canonical(e)

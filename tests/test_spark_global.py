@@ -14,7 +14,16 @@ from tests.conftest import KNOWN_GRAPHS, assert_reduction_fixpoint
 
 GRAPHS = ["ca-CondMat", "inf-road-usa", "sc-delaunay_n23", "wiki-Talk"]
 # Adversarial small graphs, fed through the same decomposition checks.
-SMALL = {**KNOWN_GRAPHS, "empty": [], "single_edge": [(0, 1)]}
+# book6 and k4_fan6 give six degree-2 vertices one neighbor pair (0, 1);
+# (0, 1) is dropped only when no other common neighbor is left.
+SMALL = {
+    **KNOWN_GRAPHS,
+    "empty": [],
+    "single_edge": [(0, 1)],
+    "book6": [(0, 1)] + [(a, p) for p in range(2, 8) for a in (0, 1)],
+    "k4_fan6": [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    + [(a, p) for p in range(4, 10) for a in (0, 1)],
+}
 # A run cut short of its fixpoint must still be an exact decomposition.
 CAPPED = "wiki-Talk/max_rounds=1"
 ALL = GRAPHS + list(SMALL) + [CAPPED]
@@ -45,7 +54,7 @@ def reduced(spark):
 def test_decomposition_preserves_cliques(reduced, name):
     e, r = reduced[name]
     g = LocalGraph.from_edges(e)
-    # The surviving edge count is tracked arithmetically, not counted.
+    # The reported sizes must match a recount of the surviving edge table.
     assert (r.n_before, r.m_before) == (g.n, g.m)
     assert r.m_after == r.edges.count()
     assert r.n_after == vertices(r.edges).count()
@@ -76,6 +85,12 @@ def test_road_fully_reduced(reduced):
     assert r.vertex_ratio == 1.0 and r.edge_ratio == 1.0
     assert r.edges.count() == 0
     assert r.rounds == 1
+
+
+def test_shared_pair_fires_in_one_round(reduced):
+    # Degree-2 vertices sharing a pair fire together, not one per round.
+    assert reduced["book6"][1].rounds == 1
+    assert reduced["k4_fan6"][1].rounds == 2
 
 
 def test_round_cap_reported(reduced):
