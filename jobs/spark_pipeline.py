@@ -2,7 +2,8 @@
 """End-to-end distributed RMCE demo: run the full Spark pipeline (global
 reduction → distributed degeneracy order → ignoreId precompute → subproblem
 materialization → applyInPandas kernel) on one catalog analog and
-cross-check the clique set against the local engine.
+cross-check the clique set and the Figure 10 counters ``subproblems`` and
+``x_before`` against the local engine; exits non-zero on a difference.
 
 Usage::
 
@@ -47,13 +48,16 @@ def main() -> None:
         LocalGraph.from_edges(e), recursion=args.recursion,
         global_reduction=red, dynamic=red, maxcheck=red,
     )
+    lm = local.metrics
     ok = got == local.cliques
+    same_counters = (res.subproblems, res.x_before) == (lm.subproblems, lm.x_before)
     print(
         f"[spark-rmce] graph={args.graph} scale={args.scale} "
         f"recursion={args.recursion} reductions={'on' if red else 'off'}\n"
         f"  cliques={len(got)} (local {len(local.cliques)}) match={ok}\n"
-        f"  degeneracy={res.degeneracy} recursive_calls={res.recursive_calls} "
-        f"subproblems={res.subproblems}\n"
+        f"  degeneracy={res.degeneracy} recursive_calls={res.recursive_calls}\n"
+        f"  subproblems={res.subproblems} (local {lm.subproblems}) "
+        f"x_before={res.x_before} (local {lm.x_before}) match={same_counters}\n"
         f"  wall={elapsed:.1f}s"
     )
     converged = True
@@ -67,7 +71,7 @@ def main() -> None:
             f"search stage={'ran' if r.m_after else 'skipped'}"
         )
     spark.stop()
-    if not (ok and converged):
+    if not (ok and same_counters and converged):
         raise SystemExit(1)
 
 

@@ -21,6 +21,8 @@ def job_session(app: str, shuffle_partitions: int = 8) -> SparkSession:
     s = (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", str(shuffle_partitions))
+        # The console progress bar would land in the jobs' logs.
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

@@ -49,8 +49,9 @@ def update_ignore_ids(
     Per candidate ``u`` at local index ``j``, the bits of ``P`` above ``j``
     are ``N⁺(u) ∩ P``; with ``shared`` their count and ``p = |P|``:
     ``shared == p − 1`` is rule A, else ``shared == |N⁺(u)|`` is rule B.
-    This is the pair test the Spark pipeline evaluates in SQL
-    (``spark_rmce._ignore_table``). Only ``j = 0`` can reach ``p − 1``."""
+    This is the pair test the Spark pipeline evaluates in SQL, counting
+    ``shared`` on its triangle table (``spark_rmce._ignore_table``). Only
+    ``j = 0`` can reach ``p − 1``."""
     v = sub.root
     p = sub.p
     pmask = sub.p_mask

@@ -37,9 +37,12 @@ round that reports it deletes one of its vertices.
 
 Each batch's rewrite is materialized once (``localCheckpoint``); its count,
 clique rows and edge deletions all read that checkpoint. Support-0 edges
-are distinct, so batch 1 removes exactly its count of edges; firings share
-edges, so after batch 2 the checkpointed residual is counted. The loop
-stops once no edge remains or a round changes nothing.
+are distinct, so batch 1 removes exactly its count of edges. A residual
+with edges is counted in one aggregate: vertices, edges and degree-2
+vertices. Once batch 1 has run, every edge lies in a triangle, so a
+residual with no degree-2 vertex has every degree ≥ 3: it is H*, and the
+loop stops there, as it does once no edge remains. A degree-2 vertex
+always fires, so batch 2 needs no count of its own.
 
 Degree-0 vertices vanish implicitly (edge-table representation; Lemma 1
 reports nothing). Cliques are emitted as canonical comma-joined id strings.
@@ -53,7 +56,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..gx.graph import degrees, remove_edges, symmetrize, vertices
+from ..gx.graph import degrees, remove_edges, symmetrize
 from ..gx.triangles import non_triangle_edges
 
 _CLIQUE_SCHEMA = T.StructType([T.StructField("clique", T.StringType())])
@@ -121,23 +124,30 @@ def _firings(edges: DataFrame) -> DataFrame:
     return pair.join(drop, ["u", "w"]).select("v", "u", "w", "drop_uw")
 
 
+def _sizes(edges: DataFrame) -> tuple[int, int, int]:
+    """Vertices, edges and degree-2 vertices of ``edges``, in one aggregate."""
+    n, deg_sum, n2 = degrees(edges).agg(
+        F.count("*"),
+        F.coalesce(F.sum("degree"), F.lit(0)),
+        F.count(F.when(F.col("degree") == 2, 1)),
+    ).first()
+    return n, deg_sum // 2, n2
+
+
 def global_reduce_spark(
     spark: SparkSession, edges: DataFrame, max_rounds: int = 200
 ) -> SparkReductionResult:
     """Run global reduction to fixpoint. Returns surviving edges + cliques."""
     edges = edges.localCheckpoint(eager=True)
-    n0, deg_sum = degrees(edges).agg(
-        F.count("*"), F.coalesce(F.sum("degree"), F.lit(0))
-    ).first()
-    m = m0 = deg_sum // 2
+    n0, m0, n2 = _sizes(edges)
+    n, m = n0, m0
     clique_parts: list[DataFrame] = []
     rounds = 0
-    changed = True
+    at_fixpoint = not m
     # localCheckpoint after every batch: the degree-2 plan self-joins the
     # adjacency several times, so stacking batches on raw lineage explodes
     # the logical plan.
-    while m and changed and rounds < max_rounds:
-        n_nte = 0
+    while not at_fixpoint and rounds < max_rounds:
         if not rounds:
             nte = non_triangle_edges(edges).localCheckpoint(eager=True)
             n_nte = nte.count()
@@ -147,25 +157,24 @@ def global_reduce_spark(
                 )
                 edges = remove_edges(edges, nte).localCheckpoint(eager=True)
                 m -= n_nte
-        n_fire = 0
-        if m:
+                if m:
+                    n, m, n2 = _sizes(edges)
+        if m and n2:
             fire = _firings(edges).localCheckpoint(eager=True)
-            n_fire = fire.count()
-            if n_fire:
-                clique_parts.append(
-                    fire.select(
-                        _clique3(F.col("v"), F.col("u"), F.col("w")).alias("clique")
-                    ).distinct()
-                )
-                drops = (
-                    fire.select(*_edge("v", "u"))
-                    .union(fire.select(*_edge("v", "w")))
-                    .union(fire.where("drop_uw").select(*_edge("u", "w")))
-                )
-                edges = remove_edges(edges, drops).localCheckpoint(eager=True)
-                m = edges.count()
+            clique_parts.append(
+                fire.select(
+                    _clique3(F.col("v"), F.col("u"), F.col("w")).alias("clique")
+                ).distinct()
+            )
+            drops = (
+                fire.select(*_edge("v", "u"))
+                .union(fire.select(*_edge("v", "w")))
+                .union(fire.where("drop_uw").select(*_edge("u", "w")))
+            )
+            edges = remove_edges(edges, drops).localCheckpoint(eager=True)
+            n, m, n2 = _sizes(edges)
         rounds += 1
-        changed = bool(n_nte or n_fire)
+        at_fixpoint = not (m and n2)
     return SparkReductionResult(
         edges=edges,
         # Each part reads a batch checkpoint: the union is not materialized.
@@ -176,8 +185,8 @@ def global_reduce_spark(
         ),
         n_before=n0,
         m_before=m0,
-        n_after=vertices(edges).count() if m else 0,
+        n_after=n if m else 0,
         m_after=m,
         rounds=rounds,
-        converged=m == 0 or not changed,
+        converged=at_fixpoint,
     )

@@ -8,19 +8,23 @@ same configuration grid covers BKx, RMCEx and the Table-3 variants):
    on an empty residual graph its cliques are the whole answer, and the
    search counters and degeneracy are 0, as the full path would compute.
 2. **Degeneracy order** (``gx.kcore``): distributed batch peeling.
-3. **Oriented triangles** (``_pp_rows``): one row ``(task, a, b)`` per
-   edge between two candidates ``a, b ∈ N⁺(task)``.
+3. **Oriented triangles** (``gx.triangles.triangles`` over the rank
+   orientation): each triangle once as ``(task, a, b)`` with
+   rank(task) < rank(a) < rank(b).
 4. **ignoreId precompute**: Algorithm 8's two dominance rules depend only on
    the static ``N⁺`` sets, so the whole table — threshold *and* arg-min
-   dominator — comes from the triangle rows and the out-degrees by the
+   dominator — comes from the triangle table and the out-degrees by the
    pair test the local engine applies to each root's bitmask
    (``forbidden_reduction.update_ignore_ids``); a test asserts both equal
    the rules' set definitions.
-5. **Subproblem materialization**: for every task vertex ``v`` — candidate
-   rows (``N⁺(v)`` with ranks), the triangle rows as candidate-candidate
-   adjacency, forbidden rows (``N⁻(v)`` with rank/ignoreId/dominator),
-   and forbidden-candidate adjacency rows. This ships exactly the
-   neighborhood intersections the recursion needs — nothing hub-sized.
+5. **Subproblem materialization**: every ranked vertex ``v`` is a task,
+   like every root of the local loop: one root row with its rank,
+   candidate rows (``N⁺(v)`` with ranks), forbidden rows (``N⁻(v)`` with
+   rank/ignoreId/dominator), and edge rows from the triangle table.
+   Triangle ``(task, a, b)`` sends edge ``a–b`` to ``task`` (two
+   candidates) and edge ``task–b`` to ``a`` (a forbidden vertex and a
+   candidate); these are all the edges the recursion needs, nothing
+   hub-sized.
 6. **Kernel**: ``groupBy(task).applyInPandas`` turns each task's rows into
    a task-local ``LocalGraph`` and calls the local engine's ``solve_root``
    (chain-sound forbidden-set drop included), then emits clique rows plus
@@ -41,13 +45,14 @@ from pyspark.sql import types as T
 
 from ..gx.graph import canonicalize, symmetrize
 from ..gx.kcore import degeneracy_order_spark
+from ..gx.triangles import triangles
 from ..mce.bitgraph import LocalGraph
 from ..mce.engine import solve_root
 from ..mce.metrics import Metrics
 from .spark_global import SparkReductionResult, global_reduce_spark
 
 # Payload row kinds shipped to each task group.
-_CAND, _PP, _X, _XP = 0, 1, 2, 3
+_ROOT, _CAND, _X, _EDGE = 0, 1, 2, 3
 # ``ignoreId`` of an X row without an Algorithm 8 entry: never below a rank.
 _NO_ENTRY = 1 << 62
 # The per-task ``Metrics`` counters, summed over all tasks.
@@ -89,34 +94,15 @@ def _orient(sym: DataFrame, ranks: DataFrame) -> DataFrame:
     )
 
 
-def _pp_rows(oriented: DataFrame, edges: DataFrame) -> DataFrame:
-    """Oriented triangles ``(task, a, b)``: ``a, b ∈ N⁺(task)``,
-    rank(a) < rank(b), and ``a–b`` is an edge of ``edges``."""
-    o1 = oriented.select(F.col("v").alias("task"), F.col("u").alias("a"), F.col("ru").alias("ra"))
-    o2 = oriented.select(F.col("v").alias("task"), F.col("u").alias("b"), F.col("ru").alias("rb"))
-    return (
-        o1.join(o2, "task")
-        .where(F.col("ra") < F.col("rb"))
-        .join(
-            edges.select(
-                F.least("src", "dst").alias("e1"), F.greatest("src", "dst").alias("e2")
-            ),
-            (F.least("a", "b") == F.col("e1")) & (F.greatest("a", "b") == F.col("e2")),
-            "left_semi",
-        )
-        .select("task", "a", "b")
-    )
-
-
-def _ignore_table(oriented: DataFrame, pp: DataFrame) -> DataFrame:
+def _ignore_table(oriented: DataFrame, tri: DataFrame) -> DataFrame:
     """Algorithm 8's ``(v, ignore_id, dom)`` for vertices with an entry.
-    ``oriented`` is ``(v, u, rv, ru)`` with rank(v) < rank(u) and ``pp`` is
-    ``_pp_rows(oriented, ·)``: its rows with ``task = v, a = u`` are
-    ``N⁺(v) ∩ N⁺(u)``, counted as ``cshared``. The pair test of
+    ``oriented`` is ``(v, u, rv, ru)`` with rank(v) < rank(u) and ``tri``
+    is its triangle table ``(task, a, b)``: the rows with ``task = v,
+    a = u`` are ``N⁺(v) ∩ N⁺(u)``, counted as ``cshared``. The pair test of
     ``forbidden_reduction.update_ignore_ids``: ``cshared == |N⁺(v)| − 1``
     is rule A, else ``cshared == |N⁺(u)|`` is rule B; each vertex keeps
     its min-rank dominator."""
-    cnt = pp.groupBy(F.col("task").alias("v"), F.col("a").alias("u")).agg(
+    cnt = tri.groupBy(F.col("task").alias("v"), F.col("a").alias("u")).agg(
         F.count("*").alias("cshared")
     )
     dplus = oriented.groupBy("v").agg(F.count("*").alias("dplus"))
@@ -154,10 +140,10 @@ def _make_kernel(recursion: str, dynamic: bool):
     """Build the applyInPandas kernel (closure carries the configuration).
 
     Each task group is one root: its payload becomes a task-local
-    ``LocalGraph`` (candidates and X rows are its vertices, pp and xp rows
-    its edges) that ``solve_root`` solves exactly as the local engine does.
-    With maxcheck off every X row carries ``_NO_ENTRY``, so the drop keeps
-    all of ``X``.
+    ``LocalGraph`` (candidates and X rows are its vertices, edge rows its
+    edges) that ``solve_root`` solves at the root row's rank exactly as
+    the local engine does. With maxcheck off every X row carries
+    ``_NO_ENTRY``, so the drop keeps all of ``X``.
     """
 
     def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -170,10 +156,11 @@ def _make_kernel(recursion: str, dynamic: bool):
         x_ids: list[int] = []
         cols = (pdf[c].tolist() for c in ("kind", "a", "b", "c", "d"))
         for kind, a, b, c, d in zip(*cols):
-            if kind == _CAND:
+            if kind == _ROOT:
+                i = b
+            elif kind == _CAND:
                 p_ids.append(a)
                 rank[a] = b
-                i = c
                 adj.setdefault(a, set())
             elif kind == _X:
                 x_ids.append(a)
@@ -233,26 +220,26 @@ def enumerate_cliques_spark(
 
     order_df, lam = degeneracy_order_spark(spark, edges)
     ranks = order_df.select("v", "rank")
-    sym = symmetrize(edges)
-    oriented = _orient(sym, ranks).localCheckpoint(eager=True)
-    pp = _pp_rows(oriented, edges)
-    ignore = _ignore_table(oriented, pp) if maxcheck else None
+    oriented = _orient(symmetrize(edges), ranks).localCheckpoint(eager=True)
+    tri = triangles(oriented.select(F.col("v").alias("src"), F.col("u").alias("dst")))
+    ignore = _ignore_table(oriented, tri) if maxcheck else None
 
+    zero = F.lit(0).cast("long")
+    root_rows = ranks.select(
+        F.col("v").alias("task"),
+        F.lit(_ROOT).alias("kind"),
+        F.col("v").alias("a"),
+        F.col("rank").cast("long").alias("b"),
+        zero.alias("c"),
+        zero.alias("d"),
+    )
     cand_rows = oriented.select(
         F.col("v").alias("task"),
         F.lit(_CAND).alias("kind"),
         F.col("u").alias("a"),
         F.col("ru").alias("b"),
-        F.col("rv").alias("c"),
-        F.lit(0).cast("long").alias("d"),
-    )
-    pp_rows = pp.select(
-        "task",
-        F.lit(_PP).alias("kind"),
-        "a",
-        "b",
-        F.lit(0).cast("long").alias("c"),
-        F.lit(0).cast("long").alias("d"),
+        zero.alias("c"),
+        zero.alias("d"),
     )
     xbase = oriented.select(
         F.col("u").alias("task"), F.col("v").alias("x"), F.col("rv").alias("rx")
@@ -271,29 +258,14 @@ def enumerate_cliques_spark(
         ig.cast("long").alias("c"),
         dm.cast("long").alias("d"),
     )
-    xw = xbase.select("task", "x").join(
-        oriented.select(F.col("v").alias("task"), F.col("u").alias("w")), "task"
+    # Triangle (task, a, b): a–b joins two candidates of task, and task–b
+    # joins a forbidden vertex of a to one of a's candidates.
+    edge_rows = tri.union(
+        tri.select(F.col("a").alias("task"), F.col("task").alias("a"), "b")
+    ).select(
+        "task", F.lit(_EDGE).alias("kind"), "a", "b", zero.alias("c"), zero.alias("d")
     )
-    xp_rows = (
-        xw.join(
-            sym.select(F.col("src").alias("x"), F.col("dst").alias("w")),
-            ["x", "w"],
-            "left_semi",
-        )
-        .select(
-            "task",
-            F.lit(_XP).alias("kind"),
-            F.col("x").alias("a"),
-            F.col("w").alias("b"),
-            F.lit(0).cast("long").alias("c"),
-            F.lit(0).cast("long").alias("d"),
-        )
-    )
-    payload = cand_rows.union(pp_rows).union(x_rows).union(xp_rows)
-    # Tasks without candidates cannot report anything (singletons excluded).
-    payload = payload.join(
-        cand_rows.select("task").distinct(), "task", "left_semi"
-    )
+    payload = root_rows.union(cand_rows).union(x_rows).union(edge_rows)
 
     kernel = _make_kernel(recursion, dynamic)
     out = (

@@ -1,35 +1,42 @@
-"""Triangle-support joins — the edge-centric substrate for global reduction.
+"""Triangle listing — the one triangle primitive of the Spark engine.
 
-An edge's *support* is its number of triangle witnesses (common neighbors of
-its endpoints). The classic DataFrame formulation joins the symmetrized
-adjacency twice: for canonical edge (u, v), count w with (u, w) and (v, w).
-Edges of support 0 are the paper's *non-triangle edges* (Definition 8).
+``triangles`` lists over an acyclic orientation of the graph, as the
+forward algorithm does (Schank & Wagner 2005; Chiba & Nishizeki 1985):
+every triangle has exactly one vertex with arcs to the other two, and
+exactly one arc between those two, so it is listed exactly once. It joins
+each 2-path ``task → a → b`` with its closing arc ``task → b``. A vertex
+``a`` opens |N⁻(a)|·|N⁺(a)| 2-paths, at most λ·deg(a) in a degeneracy
+orientation, and none if it has no in-arc or no out-arc.
+
+Global reduction passes the id orientation of the canonical edge table
+(``src → dst``) to find the paper's *non-triangle edges* (Definition 8,
+Lemma 4); the search stage passes the degeneracy-rank orientation to build
+each root's subproblem.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .graph import symmetrize
 
-
-def edge_support(edges: DataFrame) -> DataFrame:
-    """Per canonical edge: ``(src, dst, support)`` with support ≥ 0."""
-    sym = symmetrize(edges)
-    n1 = sym.select(F.col("src").alias("u"), F.col("dst").alias("w"))
-    n2 = sym.select(F.col("src").alias("v"), F.col("dst").alias("w"))
-    tri = (
-        edges.join(n1, edges.src == n1.u)
-        .join(n2, (edges.dst == n2.v) & (n1.w == n2.w))
-        .groupBy("src", "dst")
-        .agg(F.count("*").alias("support"))
-    )
-    return (
-        edges.join(tri, ["src", "dst"], "left")
-        .select("src", "dst", F.coalesce("support", F.lit(0)).alias("support"))
+def triangles(arcs: DataFrame) -> DataFrame:
+    """Each triangle once as ``(task, a, b)``, with arcs ``task → a``,
+    ``task → b`` and ``a → b`` in ``arcs``: an acyclic ``(src, dst)``
+    orientation of the graph's edges."""
+    out1 = arcs.select(F.col("src").alias("task"), F.col("dst").alias("a"))
+    out2 = arcs.select(F.col("src").alias("a"), F.col("dst").alias("b"))
+    closing = arcs.select(F.col("src").alias("task"), F.col("dst").alias("b"))
+    return out1.join(out2, "a").join(closing, ["task", "b"], "left_semi").select(
+        "task", "a", "b"
     )
 
 
 def non_triangle_edges(edges: DataFrame) -> DataFrame:
-    """Edges whose endpoints share no neighbor (maximal 2-cliques, Lemma 4)."""
-    return edge_support(edges).where(F.col("support") == 0).select("src", "dst")
+    """Canonical edges in no triangle (maximal 2-cliques, Lemma 4)."""
+    tri = triangles(edges)
+    in_triangle = (
+        tri.select(F.col("task").alias("src"), F.col("a").alias("dst"))
+        .union(tri.select(F.col("task").alias("src"), F.col("b").alias("dst")))
+        .union(tri.select(F.col("a").alias("src"), F.col("b").alias("dst")))
+    )
+    return edges.join(in_triangle, ["src", "dst"], "left_anti").select("src", "dst")

@@ -1,4 +1,4 @@
-"""Triangle-support joins vs the DuckDB oracle and the local substrate."""
+"""Triangle listing and Lemma 4 vs the DuckDB oracle and the local substrate."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,24 +7,32 @@ import pytest
 
 from repro.graphs.catalog import edges_for
 from repro.gx.graph import edges_df
-from repro.gx.triangles import edge_support, non_triangle_edges
+from repro.gx.triangles import non_triangle_edges, triangles
 from repro.mce.bitgraph import LocalGraph
 from repro.oracle import assert_equivalent
 
-_SUPPORT_SQL = """
+ORACLE_GRAPHS = ["ca-CondMat", "sc-delaunay_n23", "wiki-Talk"]
+
+# Out-neighbour pairs closed by an arc: a different join from
+# ``triangles``' 2-paths, listing the same triangles under any acyclic
+# orientation.
+_TRIANGLES_SQL = """
+SELECT t.src AS task, t.dst AS a, u.dst AS b
+FROM arcs t
+JOIN arcs u ON u.src = t.src
+JOIN arcs c ON c.src = t.dst AND c.dst = u.dst
+"""
+
+_NON_TRIANGLE_SQL = """
 WITH sym AS (
     SELECT src AS u, dst AS w FROM edges
     UNION ALL SELECT dst AS u, src AS w FROM edges
-),
-tri AS (
-    SELECT e.src, e.dst, COUNT(*) AS c
-    FROM edges e
-    JOIN sym s1 ON s1.u = e.src
-    JOIN sym s2 ON s2.u = e.dst AND s2.w = s1.w
-    GROUP BY e.src, e.dst
 )
-SELECT e.src, e.dst, COALESCE(t.c, 0) AS support
-FROM edges e LEFT JOIN tri t ON t.src = e.src AND t.dst = e.dst
+SELECT e.src, e.dst FROM edges e
+WHERE NOT EXISTS (
+    SELECT 1 FROM sym s1 JOIN sym s2 ON s2.w = s1.w
+    WHERE s1.u = e.src AND s2.u = e.dst
+)
 """
 
 
@@ -36,14 +44,36 @@ def _few_partitions(spark):
     spark.conf.set("spark.sql.shuffle.partitions", old)
 
 
-def _pdf(e: np.ndarray) -> pd.DataFrame:
-    return pd.DataFrame({"src": e[:, 0], "dst": e[:, 1]})
+def _arcs_by_rank(g: LocalGraph, seed: int = 0) -> pd.DataFrame:
+    """Every edge of ``g`` directed from lower to higher rank, the ranks a
+    random permutation of the vertices: an orientation unrelated to ids."""
+    perm = np.random.default_rng(seed).permutation(g.n).tolist()
+    rank = dict(zip(g.adj, perm))
+    arcs = [(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges()]
+    return pd.DataFrame(arcs, columns=["src", "dst"])
 
 
-@pytest.mark.parametrize("name", ["ca-CondMat", "sc-delaunay_n23", "wiki-Talk"])
-def test_edge_support_vs_oracle(spark, name):
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_triangles_vs_oracle(spark, name):
+    """Each triangle exactly once, under the id orientation (canonical
+    ``src < dst``) and under a rank orientation."""
     e = edges_for(name, "unit")
-    assert_equivalent(edge_support(edges_df(spark, e)), _SUPPORT_SQL, edges=_pdf(e))
+    g = LocalGraph.from_edges(e)
+    n_tri = sum(len(g.adj[u] & g.adj[v]) for u, v in g.edges()) // 3
+    by_id = edges_df(spark, e)
+    by_rank = spark.createDataFrame(_arcs_by_rank(g), "src long, dst long")
+    for arcs in (by_id, by_rank):
+        tri = triangles(arcs)
+        assert_equivalent(tri, _TRIANGLES_SQL, arcs=arcs)
+        rows = [(r["task"], r["a"], r["b"]) for r in tri.collect()]
+        assert len(rows) == len({frozenset(t) for t in rows}) == n_tri
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_non_triangle_edges_vs_oracle(spark, name):
+    e = edges_for(name, "unit")
+    df = edges_df(spark, e)
+    assert_equivalent(non_triangle_edges(df), _NON_TRIANGLE_SQL, edges=df)
 
 
 def test_road_all_edges_non_triangle(spark):

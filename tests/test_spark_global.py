@@ -26,7 +26,9 @@ SMALL = {
 }
 # A run cut short of its fixpoint must still be an exact decomposition.
 CAPPED = "wiki-Talk/max_rounds=1"
-ALL = GRAPHS + list(SMALL) + [CAPPED]
+# Round 1 already ends at H*: the cap cuts nothing short.
+CAPPED_AT_FIXPOINT = "ca-CondMat/max_rounds=1"
+ALL = GRAPHS + list(SMALL) + [CAPPED, CAPPED_AT_FIXPOINT]
 
 
 @pytest.fixture(autouse=True)
@@ -45,7 +47,7 @@ def reduced(spark):
             e = np.array(SMALL[name], dtype=np.int64).reshape(-1, 2)
         else:
             e = edges_for(name.split("/")[0], "unit")
-        kw = {"max_rounds": 1} if name == CAPPED else {}
+        kw = {"max_rounds": 1} if name.endswith("/max_rounds=1") else {}
         out[name] = (e, global_reduce_spark(spark, edges_df(spark, e), **kw))
     return out
 
@@ -90,12 +92,18 @@ def test_road_fully_reduced(reduced):
 def test_shared_pair_fires_in_one_round(reduced):
     # Degree-2 vertices sharing a pair fire together, not one per round.
     assert reduced["book6"][1].rounds == 1
-    assert reduced["k4_fan6"][1].rounds == 2
+    assert reduced["k4_fan6"][1].rounds == 1
 
 
 def test_round_cap_reported(reduced):
     assert not reduced[CAPPED][1].converged
     assert all(r.converged for name, (_, r) in reduced.items() if name != CAPPED)
+
+
+def test_cap_at_fixpoint_converged(reduced):
+    # The round that reaches H* knows it: no degree-2 vertex is left.
+    _, r = reduced[CAPPED_AT_FIXPOINT]
+    assert r.rounds == 1 and r.converged
 
 
 def test_converged_runs_reach_fixpoint(reduced):

@@ -3,17 +3,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.spark_rmce import (
     _COUNTERS,
     _ignore_table,
     _orient,
-    _pp_rows,
     enumerate_cliques_spark,
 )
 from repro.graphs.catalog import edges_for
 from repro.gx.graph import edges_df, symmetrize
 from repro.gx.kcore import degeneracy_order_spark
+from repro.gx.triangles import triangles
 from repro.mce.bitgraph import LocalGraph
 from repro.mce.engine import enumerate_cliques
 from repro.mce.recursions import RECURSIONS
@@ -47,6 +48,26 @@ def test_rmce_pipeline_matches_local(spark, name):
     assert got == local.cliques
     assert res.cliques.count() == len(got), "duplicate clique rows"
     assert res.degeneracy == local.degeneracy
+
+
+@pytest.mark.parametrize(
+    "name, reduced",
+    [("ca-CondMat", True), ("sc-delaunay_n23", True), ("email-EuAll", True),
+     ("ca-CondMat", False)],
+    ids=["ca-CondMat", "sc-delaunay_n23", "email-EuAll", "ca-CondMat-baseline"],
+)
+def test_every_residual_vertex_is_a_subproblem(spark, name, reduced):
+    """Figure 10's counters mean what they mean locally: one subproblem per
+    vertex of the searched graph and one X entry per edge."""
+    e = edges_for(name, "unit")
+    g = LocalGraph.from_edges(e)
+    local = enumerate_cliques(g, "pivot", reduced, reduced, reduced)
+    res = enumerate_cliques_spark(spark, edges_df(spark, e), "pivot", reduced, reduced, reduced)
+    r = res.reduction
+    n, m = (r.n_after, r.m_after) if reduced else (g.n, g.m)
+    assert res.subproblems == n == local.metrics.subproblems
+    assert res.x_before == m == local.metrics.x_before
+    assert _collect(res) == local.cliques
 
 
 @pytest.mark.parametrize("name", ["roadNet-CA", "inf-road-usa"])
@@ -142,7 +163,8 @@ def test_ignore_table_matches_local(spark):
         g = LocalGraph.from_edges(e)
         want_id, want_dom = ignore_ids_by_definition(g, order, rank)
         oriented = _orient(symmetrize(df), ranks)
-        table = _ignore_table(oriented, _pp_rows(oriented, df))
+        arcs = oriented.select(F.col("v").alias("src"), F.col("u").alias("dst"))
+        table = _ignore_table(oriented, triangles(arcs))
         got = {r["v"]: (r["ignore_id"], r["dom"]) for r in table.collect()}
         n = len(order)
         for v in order:
