@@ -2,8 +2,8 @@
 """End-to-end distributed RMCE demo: run the full Spark pipeline (global
 reduction → distributed degeneracy order → ignoreId precompute → subproblem
 materialization → applyInPandas kernel) on one catalog analog and
-cross-check the clique set and the Figure 10 counters ``subproblems`` and
-``x_before`` against the local engine; exits non-zero on a difference.
+cross-check the clique set, λ and every Figure 9/10 counter against the
+local engine (both peel in the same order); exits non-zero on a difference.
 
 Usage::
 
@@ -16,7 +16,7 @@ import argparse
 import time
 
 from repro.bench.jobutil import job_session
-from repro.core.spark_rmce import enumerate_cliques_spark
+from repro.core.spark_rmce import _COUNTERS, enumerate_cliques_spark
 from repro.graphs.catalog import edges_for
 from repro.gx.graph import edges_df
 from repro.mce.bitgraph import LocalGraph
@@ -48,16 +48,16 @@ def main() -> None:
         LocalGraph.from_edges(e), recursion=args.recursion,
         global_reduction=red, dynamic=red, maxcheck=red,
     )
-    lm = local.metrics
     ok = got == local.cliques
-    same_counters = (res.subproblems, res.x_before) == (lm.subproblems, lm.x_before)
+    pairs = {"degeneracy": (res.degeneracy, local.degeneracy)}
+    pairs |= {f: (getattr(res, f), getattr(local.metrics, f)) for f in _COUNTERS}
+    same_counters = all(a == b for a, b in pairs.values())
     print(
         f"[spark-rmce] graph={args.graph} scale={args.scale} "
         f"recursion={args.recursion} reductions={'on' if red else 'off'}\n"
         f"  cliques={len(got)} (local {len(local.cliques)}) match={ok}\n"
-        f"  degeneracy={res.degeneracy} recursive_calls={res.recursive_calls}\n"
-        f"  subproblems={res.subproblems} (local {lm.subproblems}) "
-        f"x_before={res.x_before} (local {lm.x_before}) match={same_counters}\n"
+        + "".join(f"  {f}={a} (local {b})\n" for f, (a, b) in pairs.items())
+        + f"  counters match={same_counters}\n"
         f"  wall={elapsed:.1f}s"
     )
     converged = True

@@ -3,9 +3,9 @@
 # Timing-sensitive local-kernel jobs run first; Spark jobs afterwards.
 # Figure 8 runs with both engines on all 18 bench analogs; the Spark run
 # exits non-zero unless its residual edges and reported cliques equal the
-# local engine's. The pipeline demo exits non-zero unless its cliques,
-# subproblems and x_before equal the local engine's; pipefail keeps that
-# exit status through tee.
+# local engine's. The pipeline demo exits non-zero unless its cliques, λ
+# and every Figure 9/10 counter equal the local engine's; pipefail keeps
+# that exit status through tee.
 set -exo pipefail
 cd "$(dirname "$0")"
 P=python

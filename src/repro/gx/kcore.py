@@ -11,6 +11,9 @@ degree ≤ k per round (stages k = 0, 1, 2, …), which preserves validity:
     exactly the vertex's core number (the graph surviving stage k is the
     (k+1)-core).
 
+The local engine's ``mce.bitgraph.degeneracy_order`` computes the same
+order, so both engines solve the same subproblems in the same ranks.
+
 Each round is a handful of DataFrame ops; ``localCheckpoint`` truncates the
 growing lineage (standard iterative-Spark hygiene).
 """

@@ -10,7 +10,6 @@ used by the paper's C++ implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -49,66 +48,42 @@ class LocalGraph:
 
 
 def degeneracy_order(g: LocalGraph) -> tuple[list[int], dict[int, int], int]:
-    """Exact min-degree peeling with a bucket queue.
+    """Batch min-degree peeling, the order ``gx.kcore`` computes in Spark.
 
-    Returns ``(order, core_number, degeneracy)`` where ``order`` is a valid
-    degeneracy order (each vertex has ≤ λ later neighbors) and ``core_number``
-    maps each vertex to its k-core number. Each step removes the vertex of
-    minimum residual degree, smallest id first, so the order is
-    deterministic.
-
-    The smallest id of a bucket comes from that bucket's min-heap, built
-    (``heapify``) the first time the bucket is the minimum. Invariant: while
-    a bucket has a heap, every member of the bucket set is in the heap;
-    heap entries no longer in the set are stale and are skipped on pop.
-    Degrees only fall, so a vertex never re-enters a bucket it has left and
-    a stale entry never becomes live again. Each vertex is heapified once
-    and pushed at most once per degree decrement, so the cost is
-    O((n + m) log n) with no per-pop bucket scan.
+    Returns ``(order, core_number, degeneracy)``. Each round removes every
+    residual vertex of degree ≤ k, sorted by id; neighbours whose degree
+    falls to k form the next round's batch, and when a round leaves none, k
+    jumps to the minimum residual degree. ``order`` ranks vertices by
+    ``(round, id)``, a valid degeneracy order (each vertex has ≤ λ later
+    neighbours), and a vertex's core number is the k at which it is removed.
+    Each edge is touched once, each round is sorted, and each value of k
+    costs one scan of the residual degrees.
     """
-    if g.n == 0:
-        return [], {}, 0
     adj = g.adj
     deg = {v: len(nb) for v, nb in adj.items()}
-    buckets: list[set[int]] = [set() for _ in range(max(deg.values()) + 1)]
-    for v, d in deg.items():
-        buckets[d].add(v)
-    heaps: list[list[int] | None] = [None] * len(buckets)
     order: list[int] = []
     core: dict[int, int] = {}
-    lam = 0
-    cur = 0
-    for _ in range(g.n):
-        while not buckets[cur]:
-            cur += 1
-        bucket = buckets[cur]
-        heap = heaps[cur]
-        if heap is None:
-            heap = heaps[cur] = list(bucket)
-            heapify(heap)
-        v = heappop(heap)
-        while v not in bucket:
-            v = heappop(heap)
-        bucket.remove(v)
-        if cur > lam:
-            lam = cur
-        core[v] = lam
-        order.append(v)
-        del deg[v]  # peeled vertices leave ``deg``
-        for u in adj[v]:
-            d = deg.get(u)
-            if d is None:
-                continue
-            buckets[d].remove(u)
-            d -= 1
-            deg[u] = d
-            buckets[d].add(u)
-            h = heaps[d]
-            if h is not None:
-                heappush(h, u)
-        if cur:
-            cur -= 1
-    return order, core, lam
+    k = 0
+    batch: list[int] = []
+    while deg:
+        if not batch:
+            k = min(deg.values())
+            batch = [v for v, d in deg.items() if d == k]
+        batch.sort()
+        for v in batch:
+            del deg[v]  # the whole round leaves before any degree drops
+            core[v] = k
+        order += batch
+        nxt = []
+        for v in batch:
+            for u in adj[v]:
+                d = deg.get(u)
+                if d is not None:
+                    deg[u] = d - 1
+                    if d - 1 == k:
+                        nxt.append(u)
+        batch = nxt
+    return order, core, k
 
 
 @dataclass

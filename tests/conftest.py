@@ -95,6 +95,20 @@ KNOWN_GRAPHS: dict[str, list[tuple[int, int]]] = {
     ],
 }
 
+# The 10-vertex graph on which Algorithm 8's drop rule erases every witness
+# of the non-maximal clique {7,9} via the dominance cycle 3 -> 0 -> 2 -> 3
+# (discovered by fuzzing; see DESIGN.md §2.3).
+CYCLE_COUNTEREXAMPLE = [
+    (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 9),
+    (1, 2), (1, 4), (1, 5), (1, 7), (1, 8), (1, 9),
+    (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9),
+    (3, 4), (3, 7), (3, 9),
+    (4, 6), (4, 8),
+    (5, 6), (5, 9),
+    (6, 7), (6, 8),
+    (7, 8), (7, 9),
+]
+
 # Expected maximal cliques (size >= 2) for a subset of KNOWN_GRAPHS.
 KNOWN_CLIQUES: dict[str, set[tuple[int, ...]]] = {
     "triangle": {(0, 1, 2)},

@@ -63,22 +63,26 @@ def test_degeneracy_order_validity_catalog(name, scale):
 
 
 def _reference_order(g: LocalGraph) -> tuple[list[int], dict[int, int], int]:
-    """Naive O(n²) peel: repeatedly remove the vertex of minimum
-    ``(residual degree, id)``; core number = running max of that degree."""
+    """Naive batch peel: when no residual vertex has degree ≤ k, k becomes
+    the minimum residual degree; then every residual vertex of degree ≤ k
+    is removed at once, sorted by id, with core number k."""
     deg = {v: len(nb) for v, nb in g.adj.items()}
     order: list[int] = []
     core: dict[int, int] = {}
-    lam = 0
+    k = 0
     while deg:
-        d, v = min((d, v) for v, d in deg.items())
-        lam = max(lam, d)
-        core[v] = lam
-        order.append(v)
-        del deg[v]
-        for u in g.adj[v]:
-            if u in deg:
-                deg[u] -= 1
-    return order, core, lam
+        if min(deg.values()) > k:
+            k = min(deg.values())
+        batch = sorted(v for v, d in deg.items() if d <= k)
+        for v in batch:
+            core[v] = k
+            del deg[v]
+        order += batch
+        for v in batch:
+            for u in g.adj[v]:
+                if u in deg:
+                    deg[u] -= 1
+    return order, core, k
 
 
 def _check_order(g: LocalGraph, order: list[int], lam: int) -> None:

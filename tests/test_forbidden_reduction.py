@@ -11,38 +11,31 @@ from repro.mce.bitgraph import LocalGraph, build_subproblem, degeneracy_order
 from repro.mce.engine import enumerate_cliques
 from repro.mce.recursions import RECURSIONS
 from repro.mce.reference import maximal_cliques_bruteforce
-from tests.conftest import KNOWN_GRAPHS, ignore_ids_by_definition, random_edges
-
-# The 10-vertex graph on which Algorithm 8's drop rule erases every witness
-# of the non-maximal clique {6,8} via the dominance cycle 0 -> 1 -> 3 -> 0
-# (discovered by fuzzing; see DESIGN.md §2.3).
-CYCLE_COUNTEREXAMPLE = [
-    (0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9),
-    (1, 2), (1, 3), (1, 6), (1, 7), (1, 8), (1, 9),
-    (2, 4), (2, 6), (2, 7), (2, 9),
-    (3, 5), (3, 6), (3, 8), (3, 9),
-    (4, 5), (4, 6), (4, 7),
-    (5, 6), (5, 7), (5, 9),
-    (6, 8), (7, 8),
-]
+from tests.conftest import (
+    CYCLE_COUNTEREXAMPLE,
+    KNOWN_GRAPHS,
+    ignore_ids_by_definition,
+    random_edges,
+)
 
 
 def test_paper_rule_nonchained_unsound():
     """Dropping every u with ignoreId[u] < i — Algorithm 8 lines 2-5 as
-    printed — reports the non-maximal clique {6,8} on the counterexample.
+    printed — reports the non-maximal clique {7,9} on the counterexample.
     This documents why the chain-sound resolution exists."""
     g = LocalGraph.from_edges(np.array(CYCLE_COUNTEREXAMPLE))
     order, _, _ = degeneracy_order(g)
     rank = {v: i for i, v in enumerate(order)}
     ignore_id, _dom = ignore_ids_by_definition(g, order, rank)
-    i6 = rank[6]
-    x6 = [u for u in g.adj[6] if rank[u] < i6]
-    naive_kept = [u for u in x6 if ignore_id[u] >= i6]
-    # The branch on 8 inside 6's subproblem sees X ∩ N(8): naive dropping
-    # erases every witness that {6,8} ⊂ {0,6,8}/{1,6,8}/{3,6,8} — unsound.
-    witnesses = [u for u in naive_kept if u in g.adj[8]]
+    i7 = rank[7]
+    x7 = [u for u in g.adj[7] if rank[u] < i7]
+    naive_kept = [u for u in x7 if ignore_id[u] >= i7]
+    # The branch on 9 inside 7's subproblem sees X ∩ N(9): naive dropping
+    # erases every witness that {7,9} ⊂ {0,7,9}/{1,7,9}/{2,7,9}/{3,7,9} —
+    # unsound.
+    witnesses = [u for u in naive_kept if u in g.adj[9]]
     assert witnesses == [], "counterexample no longer triggers — regenerate"
-    assert any(u in g.adj[8] for u in x6), "X must contain a real witness"
+    assert any(u in g.adj[9] for u in x7), "X must contain a real witness"
 
 
 def test_chain_resolution_repairs_counterexample():
@@ -51,13 +44,13 @@ def test_chain_resolution_repairs_counterexample():
     for rec in RECURSIONS:
         res = enumerate_cliques(g, rec, False, False, True)
         assert res.cliques == truth, rec
-    # and the chain resolver retains at least one dominator for vertex 6
+    # and the chain resolver retains at least one dominator for vertex 7
     order, _, _ = degeneracy_order(g)
     rank = {v: i for i, v in enumerate(order)}
     ignore_id, dom = ignore_ids_by_definition(g, order, rank)
-    i6 = rank[6]
-    x6 = [u for u in g.adj[6] if rank[u] < i6]
-    kept = reduce_forbidden(x6, i6, ignore_id, dom, rank)
+    i7 = rank[7]
+    x7 = [u for u in g.adj[7] if rank[u] < i7]
+    kept = reduce_forbidden(x7, i7, ignore_id, dom, rank)
     assert kept, "chain resolution must keep a maximality witness"
 
 

@@ -1,4 +1,4 @@
-"""Distributed batch peeling vs exact local peeling."""
+"""Distributed batch peeling vs the local engine's batch peeling."""
 from __future__ import annotations
 
 import pytest
@@ -41,8 +41,6 @@ def test_core_numbers_match_local(peeled, name):
     e, stamps, _lam = peeled[name]
     _, core_local, _ = degeneracy_order(LocalGraph.from_edges(e))
     got = {r["v"]: r["core"] for r in stamps.collect()}
-    # local core dict holds running-max core values; recompute exact cores
-    # from the same definition used by the distributed peel:
     assert set(got) == set(core_local)
     assert got == core_local
 
@@ -66,6 +64,9 @@ def test_order_validity(peeled, name):
         later = sum(1 for u in g.adj[v] if rank[u] > rank[v])
         worst = max(worst, later)
     assert worst <= lam, "distributed order exceeds λ later neighbors"
+    # Both engines rank by (round, id): the local order is the same order.
+    order, _, _ = degeneracy_order(g)
+    assert rank == {v: i for i, v in enumerate(order)}
 
 
 def test_rank_is_dense_permutation(peeled, spark):

@@ -20,8 +20,7 @@ from repro.mce.engine import enumerate_cliques
 from repro.mce.recursions import RECURSIONS
 from repro.mce.reference import maximal_cliques_bruteforce
 
-from tests.conftest import ignore_ids_by_definition
-from tests.test_forbidden_reduction import CYCLE_COUNTEREXAMPLE
+from tests.conftest import CYCLE_COUNTEREXAMPLE, ignore_ids_by_definition
 
 
 @pytest.fixture(autouse=True)
@@ -57,16 +56,20 @@ def test_rmce_pipeline_matches_local(spark, name):
     ids=["ca-CondMat", "sc-delaunay_n23", "email-EuAll", "ca-CondMat-baseline"],
 )
 def test_every_residual_vertex_is_a_subproblem(spark, name, reduced):
-    """Figure 10's counters mean what they mean locally: one subproblem per
-    vertex of the searched graph and one X entry per edge."""
+    """Figure 9's and 10's counters mean what they mean locally: one
+    subproblem per vertex of the searched graph, one X entry per edge, and,
+    since both engines peel in the same order, every counter and λ equal."""
     e = edges_for(name, "unit")
     g = LocalGraph.from_edges(e)
     local = enumerate_cliques(g, "pivot", reduced, reduced, reduced)
     res = enumerate_cliques_spark(spark, edges_df(spark, e), "pivot", reduced, reduced, reduced)
     r = res.reduction
     n, m = (r.n_after, r.m_after) if reduced else (g.n, g.m)
-    assert res.subproblems == n == local.metrics.subproblems
-    assert res.x_before == m == local.metrics.x_before
+    assert res.subproblems == n
+    assert res.x_before == m
+    for f in _COUNTERS:
+        assert getattr(res, f) == getattr(local.metrics, f), f
+    assert res.degeneracy == local.degeneracy
     assert _collect(res) == local.cliques
 
 
@@ -122,18 +125,11 @@ def test_rcd_recursion_in_pipeline(spark):
     assert _collect(res) == truth
 
 
-# CYCLE_COUNTEREXAMPLE with vertex a renamed _RELABEL[a]. The Spark order
-# breaks ties inside a peeling round by id, so the printed labels do not
-# form the dominance cycle there; these do: dropping every u with
-# ignoreId[u] < i reports a non-maximal clique under all four recursions.
-_RELABEL = (2, 0, 6, 9, 8, 1, 7, 4, 3, 5)
-
-
 @pytest.mark.parametrize("rec", RECURSIONS)
 def test_cycle_counterexample_in_pipeline(spark, rec):
     """The cyclic-dominance graph through the Spark kernel's chain-sound
     drop: exact clique set, each clique emitted once."""
-    e = np.array([(_RELABEL[a], _RELABEL[b]) for a, b in CYCLE_COUNTEREXAMPLE])
+    e = np.array(CYCLE_COUNTEREXAMPLE)
     truth = maximal_cliques_bruteforce(LocalGraph.from_edges(e))
     res = enumerate_cliques_spark(spark, edges_df(spark, e), rec, False, False, True)
     got = _collect(res)
