@@ -17,15 +17,16 @@ unsound: each entry is justified by a *dominator* whose restricted
 neighborhood contains the dropped vertex's, but dominators can themselves be
 dropped, and justification chains can be cyclic once neighborhoods collapse
 to equality under restriction to the current candidate set (a 10-vertex
-counterexample where the chain 0→1→3→0 erases every witness of a
-non-maximal clique lives in ``tests/test_forbidden_reduction.py``). Repair:
-record the arg-min dominator with each entry and, per subproblem, drop
-``u`` only if its dominator chain reaches a **retained** vertex; chains that
-close a cycle retain the cycle's max-rank member (the rest may then drop).
-Every chain edge preserves ``N(a)∩S ⊆ N(b)∩S`` for the later-than-root
-universe ``S`` and keeps the dominator inside ``X`` (adjacency to the root
-follows from the rule's containment), so transitivity plus a retained
-terminal dominator re-establishes Lemma 9 exactly.
+counterexample, ``CYCLE_COUNTEREXAMPLE`` in ``tests/conftest.py``, where
+the cycle 3 → 0 → 2 → 3 erases every witness of the non-maximal clique
+{7,9}). Repair: record the arg-min dominator with each entry and, per
+subproblem, drop ``u`` only if its dominator chain reaches a **retained**
+vertex; chains that close a cycle retain the cycle's max-rank member (the
+rest may then drop). Every chain edge preserves ``N(a)∩S ⊆ N(b)∩S`` for
+the later-than-root universe ``S`` and keeps the dominator inside ``X``
+(adjacency to the root follows from the rule's containment), so
+transitivity plus a retained terminal dominator re-establishes Lemma 9
+exactly.
 """
 from __future__ import annotations
 

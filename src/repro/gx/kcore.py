@@ -2,20 +2,19 @@
 
 The sequential algorithm removes *one* minimum-degree vertex per step; the
 iterative vertex-program formulation removes **all** vertices of residual
-degree ≤ k per round (stages k = 0, 1, 2, …), which preserves validity:
+degree ≤ k per round, with k = max(k, minimum residual degree):
 
-    A vertex removed in a batch at stage k has ≤ k neighbors among vertices
-    removed in the same round or later, so ordering vertices by removal
-    stamp ``(stage, round, id)`` gives every vertex at most λ later
-    neighbors — a valid degeneracy order — and the stage at removal is
-    exactly the vertex's core number (the graph surviving stage k is the
-    (k+1)-core).
+    A vertex removed in round r has ≤ k neighbors among the vertices
+    removed in round r or later, so ordering vertices by ``(round, id)``
+    gives every vertex at most λ (the final k) later neighbors — a valid
+    degeneracy order. Each time k rises, the residual graph is the k-core,
+    and a vertex of residual degree ≤ k is not in the (k+1)-core, so the k
+    at removal is the vertex's core number.
 
 The local engine's ``mce.bitgraph.degeneracy_order`` computes the same
-order, so both engines solve the same subproblems in the same ranks.
-
-Each round is a handful of DataFrame ops; ``localCheckpoint`` truncates the
-growing lineage (standard iterative-Spark hygiene).
+order, so both engines solve the same subproblems in the same ranks. Each
+round ``localCheckpoint``s the residual edge and degree tables to truncate
+their lineage (standard iterative-Spark hygiene).
 """
 from __future__ import annotations
 
@@ -44,49 +43,37 @@ def peel(spark: SparkSession, edges: DataFrame) -> tuple[DataFrame, int]:
     vertices never appear in the edge table and so are absent (they play no
     role in MCE under the ≥2-clique convention).
     """
-    from .graph import vertices
-
     cur = edges.localCheckpoint(eager=True)
-    # Track the vertex set explicitly: a vertex whose last edge is removed
-    # becomes invisible in the edge table but still needs a removal stamp.
-    verts = vertices(cur).localCheckpoint(eager=True)
+    # One row per residual vertex: a vertex whose last edge is removed stays
+    # at degree 0 until its round stamps it.
+    deg = degrees(cur).localCheckpoint(eager=True)
     stamp_batches: list[DataFrame] = []
     k = 0
-    rnd = 0
-    lam = 0
-    n = verts.count()
+    n, dmin = deg.agg(F.count("*"), F.min("degree")).first()
     while n > 0:
-        deg = degrees(cur)
-        low = (
-            verts.join(deg, "v", "left")
-            .select("v", F.coalesce("degree", F.lit(0)).alias("degree"))
-            .where(F.col("degree") <= k)
-            .select("v")
-            .localCheckpoint(eager=True)  # consumed by count/stamp/remove
-        )
-        n_low = low.count()
-        if n_low == 0:
-            k += 1
-            continue
-        lam = max(lam, k)
+        k = max(k, dmin)
+        low = deg.where(F.col("degree") <= k).select("v")
         stamp_batches.append(
             low.select(
                 "v",
                 F.lit(k).cast("long").alias("core"),
-                F.lit(rnd).cast("long").alias("round"),
+                F.lit(len(stamp_batches)).cast("long").alias("round"),
             )
         )
-        rnd += 1
         cur = remove_vertices(cur, low).localCheckpoint(eager=True)
-        verts = verts.join(low, "v", "left_anti")
-        if rnd % 4 == 0:  # bound the anti-join lineage without a
-            verts = verts.localCheckpoint(eager=True)  # checkpoint per round
-        n -= n_low
-    # Each batch reads the checkpoint of its round: the union is not
-    # materialized again.
+        deg = (
+            deg.where(F.col("degree") > k)
+            .select("v")
+            .join(degrees(cur), "v", "left")
+            .select("v", F.coalesce("degree", F.lit(0)).alias("degree"))
+            .localCheckpoint(eager=True)
+        )
+        n, dmin = deg.agg(F.count("*"), F.min("degree")).first()
+    # Each batch filters the degree checkpoint of its round: the union is
+    # not materialized again.
     if not stamp_batches:
-        return spark.createDataFrame([], _STAMP_SCHEMA), lam
-    return reduce(DataFrame.union, stamp_batches), lam
+        return spark.createDataFrame([], _STAMP_SCHEMA), k
+    return reduce(DataFrame.union, stamp_batches), k
 
 
 def degeneracy_order_df(stamps: DataFrame) -> DataFrame:
