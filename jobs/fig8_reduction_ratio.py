@@ -5,9 +5,10 @@ Runs the *distributed* global reduction (``repro.core.spark_global``) on
 every catalog analog and reports the fraction of vertices/edges deleted —
 the paper's key observations being full deletion on the road graphs and
 (near-)zero deletion on the delaunay analog. With ``--engine spark`` it also
-reports each run's rounds, runs the local reduction on the same edges and
-exits non-zero unless both leave the same edges and report the same cliques
-(the fixpoint is unique).
+reports each run's rounds and the Spark jobs ``global_reduce_spark``
+launched (read from the run's job group), runs the local reduction on the
+same edges and exits non-zero unless both leave the same edges and report
+the same cliques (the fixpoint is unique).
 
 Usage::
 
@@ -27,6 +28,13 @@ from repro.gx.graph import edges_df
 from repro.mce.bitgraph import LocalGraph
 
 
+def _jobs_in_group(sc, group: str) -> int:
+    """Spark jobs launched under job group ``group`` so far."""
+    # The status tracker hears of a job through the listener bus.
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--scale", default="bench", choices=["unit", "bench"])
@@ -39,7 +47,7 @@ def main() -> None:
     spark = job_session("fig8") if args.engine == "spark" else None
     cols = ["Graph", "deleted vertices", "deleted edges", "cliques pre-reported"]
     if spark is not None:
-        cols.append("rounds")
+        cols += ["rounds", "Spark jobs"]
     lines = [
         "## Figure 8 (as table) — global reduction ratios",
         "",
@@ -60,8 +68,11 @@ def main() -> None:
         vr, er, nc = st.vertex_ratio, st.edge_ratio, len(pre)
         cells = []
         if spark is not None:
+            sc = spark.sparkContext
             t0 = time.perf_counter()
+            sc.setJobGroup(f"fig8-{name}", "global reduction")
             r = global_reduce_spark(spark, edges_df(spark, e))
+            sc.setLocalProperty("spark.jobGroup.id", None)
             if not r.converged:
                 raise SystemExit(
                     f"[fig8] {name}: global reduction stopped after "
@@ -75,8 +86,13 @@ def main() -> None:
                     "differ from the local engine's"
                 )
             vr, er, nc = r.vertex_ratio, r.edge_ratio, len(rows)
-            cells.append(str(r.rounds))
-            print(f"[fig8] {name}: {r.rounds} rounds, {time.perf_counter() - t0:.1f} s", flush=True)
+            jobs = _jobs_in_group(sc, f"fig8-{name}")
+            cells += [str(r.rounds), str(jobs)]
+            print(
+                f"[fig8] {name}: {r.rounds} rounds, {jobs} jobs, "
+                f"{time.perf_counter() - t0:.1f} s",
+                flush=True,
+            )
         lines.append("| " + " | ".join([name, f"{vr:.1%}", f"{er:.1%}", str(nc), *cells]) + " |")
         print(f"[fig8] {name}: v={vr:.1%} e={er:.1%}", flush=True)
     if spark is not None:

@@ -171,7 +171,9 @@ def _make_kernel(recursion: str, dynamic: bool):
             else:
                 adj.setdefault(a, set()).add(b)
                 adj.setdefault(b, set()).add(a)
+        # Rank order, as the local engine's lists: row order is the shuffle's.
         p_ids.sort(key=rank.__getitem__)
+        x_ids.sort(key=rank.__getitem__)
         metrics = Metrics()
         cliques: list[str] = []
 
@@ -203,7 +205,7 @@ def enumerate_cliques_spark(
     reduction: SparkReductionResult | None = None
     pre: DataFrame | None = None
     if global_reduction:
-        # global_reduce_spark materializes its input itself.
+        # global_reduce_spark reads its input in one materialized pass.
         reduction = global_reduce_spark(spark, edges)
         if not reduction.m_after:
             # Nothing left to search: the reduction's cliques are all of them.

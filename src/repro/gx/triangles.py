@@ -9,7 +9,7 @@ each 2-path ``task → a → b`` with its closing arc ``task → b``. A vertex
 orientation, and none if it has no in-arc or no out-arc.
 
 Global reduction passes the id orientation of the canonical edge table
-(``src → dst``) to find the paper's *non-triangle edges* (Definition 8,
+(``src → dst``) to flag the paper's *non-triangle edges* (Definition 8,
 Lemma 4); the search stage passes the degeneracy-rank orientation to build
 each root's subproblem.
 """
@@ -31,12 +31,27 @@ def triangles(arcs: DataFrame) -> DataFrame:
     )
 
 
-def non_triangle_edges(edges: DataFrame) -> DataFrame:
-    """Canonical edges in no triangle (maximal 2-cliques, Lemma 4)."""
-    tri = triangles(edges)
-    in_triangle = (
-        tri.select(F.col("task").alias("src"), F.col("a").alias("dst"))
-        .union(tri.select(F.col("task").alias("src"), F.col("b").alias("dst")))
-        .union(tri.select(F.col("a").alias("src"), F.col("b").alias("dst")))
+def flag_triangle_edges(edges: DataFrame) -> DataFrame:
+    """Canonical edges as ``(src, dst, tri)``: ``tri`` is false exactly for
+    the edges in no triangle (maximal 2-cliques, Lemma 4).
+
+    Under the id orientation a triangle ``(task, a, b)`` has task < a < b,
+    so its three sides are canonical edges of ``edges``: one aggregate over
+    the edges and the sides flags every edge exactly once. The sides are
+    exploded from one pass over the listing, not a union of three selects,
+    which would run the listing's joins three times."""
+    side = F.explode(
+        F.array(
+            F.struct(F.col("task").alias("src"), F.col("a").alias("dst")),
+            F.struct(F.col("task").alias("src"), F.col("b").alias("dst")),
+            F.struct(F.col("a").alias("src"), F.col("b").alias("dst")),
+        )
+    ).alias("side")
+    sides = triangles(edges).select(side).select("side.src", "side.dst", F.lit(True))
+    return (
+        edges.select("src", "dst", F.lit(False))
+        .union(sides)
+        .toDF("src", "dst", "tri")
+        .groupBy("src", "dst")
+        .agg(F.max("tri").alias("tri"))
     )
-    return edges.join(in_triangle, ["src", "dst"], "left_anti").select("src", "dst")

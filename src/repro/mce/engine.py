@@ -78,20 +78,23 @@ def enumerate_cliques(
 
     order, _core, lam = degeneracy_order(g2)
     rank = {v: i for i, v in enumerate(order)}
-    # N⁺ lists from one sweep in rank order: appending v to later[u] for
-    # each earlier neighbor u leaves every list rank-sorted.
+    # N⁺ and N⁻ lists from one sweep in rank order: appending v to
+    # later[u] for each earlier neighbor u, and to earlier[u] for each later
+    # one, leaves every list rank-sorted.
     later: dict[int, list[int]] = {v: [] for v in order}
+    earlier: dict[int, list[int]] = {v: [] for v in order}
     for i, v in enumerate(order):
         for u in g2.adj[v]:
             if rank[u] < i:
                 later[u].append(v)
+            else:
+                earlier[u].append(v)
     n = len(order)
     ignore = ({v: n for v in order}, {}) if maxcheck else None
 
     for i, v in enumerate(order):
-        x_ids = [u for u in g2.adj[v] if rank[u] < i]
         sub = solve_root(
-            g2, v, i, later[v], x_ids, ignore, rank, recursion, dynamic, report, metrics
+            g2, v, i, later[v], earlier[v], ignore, rank, recursion, dynamic, report, metrics
         )
         if ignore is not None and sub is not None:
             # Step i only sets values >= i, which no drop at step i reads.
@@ -124,7 +127,9 @@ def solve_root(
     """Solve root ``v``'s subproblem ``({v}, p_ids, x_ids)`` at order ``i``
     and return its bitmask form, or ``None`` if the frame was skipped.
 
-    ``p_ids`` is ``N⁺(v)`` in rank order and ``x_ids`` is ``N⁻(v)``.
+    ``p_ids`` is ``N⁺(v)`` and ``x_ids`` is ``N⁻(v)``, both in rank order:
+    the pivot takes the first ``X`` vertex with the best count, so the
+    order of ``x_ids`` moves ``recursive_calls``.
     ``ignore = (ignore_id, ignore_dom)`` turns on Algorithm 8's chain-sound
     drop of ``X``; ``rank`` must cover every ``X`` vertex and dominator.
     ``g`` needs only the edges among ``p_ids`` and between ``x_ids`` and

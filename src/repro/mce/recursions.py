@@ -52,7 +52,7 @@ def run_subproblem(
             if x == 0 and len(r) >= 2:
                 # Suppress if a removed candidate extends R∪D (it is adjacent
                 # to all of R by the subproblem invariant).
-                if not any((adj[t] & hoisted) == hoisted for t in iter_bits(rem)):
+                if not (rem and any((adj[t] & hoisted) == hoisted for t in iter_bits(rem))):
                     report(r)
             return
         if recursion == "rcd":

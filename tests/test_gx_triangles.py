@@ -1,13 +1,17 @@
-"""Triangle listing and Lemma 4 vs the DuckDB oracle and the local substrate."""
+"""Triangle listing and Lemma 4's edge flags vs the DuckDB oracle and the
+local substrate."""
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
+from repro.core.spark_global import global_reduce_spark
 from repro.graphs.catalog import edges_for
+from repro.gx import triangles as triangles_module
 from repro.gx.graph import edges_df
-from repro.gx.triangles import non_triangle_edges, triangles
+from repro.gx.triangles import flag_triangle_edges, triangles
 from repro.mce.bitgraph import LocalGraph
 from repro.oracle import assert_equivalent
 
@@ -34,6 +38,8 @@ WHERE NOT EXISTS (
     WHERE s1.u = e.src AND s2.u = e.dst
 )
 """
+
+_TRIANGLE_EDGES_SQL = f"SELECT src, dst FROM edges EXCEPT ({_NON_TRIANGLE_SQL})"
 
 
 @pytest.fixture(autouse=True)
@@ -71,20 +77,26 @@ def test_triangles_vs_oracle(spark, name):
 
 @pytest.mark.parametrize("name", ORACLE_GRAPHS)
 def test_non_triangle_edges_vs_oracle(spark, name):
-    e = edges_for(name, "unit")
-    df = edges_df(spark, e)
-    assert_equivalent(non_triangle_edges(df), _NON_TRIANGLE_SQL, edges=df)
+    df = edges_df(spark, edges_for(name, "unit"))
+    flagged = flag_triangle_edges(df)
+    assert_equivalent(
+        flagged.where(~F.col("tri")).select("src", "dst"), _NON_TRIANGLE_SQL, edges=df
+    )
+    assert_equivalent(
+        flagged.where(F.col("tri")).select("src", "dst"), _TRIANGLE_EDGES_SQL, edges=df
+    )
 
 
 def test_road_all_edges_non_triangle(spark):
-    e = edges_for("inf-road-usa", "unit")
-    df = edges_df(spark, e)
-    assert non_triangle_edges(df).count() == df.count()
+    df = edges_df(spark, edges_for("inf-road-usa", "unit"))
+    assert flag_triangle_edges(df).where(~F.col("tri")).count() == df.count()
 
 
 def test_delaunay_no_non_triangle_edges(spark):
-    e = edges_for("sc-delaunay_n23", "unit")
-    assert non_triangle_edges(edges_df(spark, e)).count() == 0
+    df = edges_df(spark, edges_for("sc-delaunay_n23", "unit"))
+    flagged = flag_triangle_edges(df)
+    assert flagged.where(~F.col("tri")).count() == 0
+    assert flagged.where(F.col("tri")).count() == df.count()
 
 
 def test_non_triangle_matches_local(spark):
@@ -95,5 +107,24 @@ def test_non_triangle_matches_local(spark):
         for u, v in g.edges()
         if not (g.adj[u] & g.adj[v])
     }
-    got = {(r["src"], r["dst"]) for r in non_triangle_edges(edges_df(spark, e)).collect()}
-    assert got == expect
+    rows = flag_triangle_edges(edges_df(spark, e)).collect()
+    got = {(r["src"], r["dst"]): r["tri"] for r in rows}
+    assert len(rows) == len(got) == g.m
+    assert {k for k, tri in got.items() if not tri} == expect
+    assert {k for k, tri in got.items() if tri} == {
+        tuple(sorted(uv)) for uv in g.edges()
+    } - expect
+
+
+def test_lemma4_lists_triangles_once(spark, monkeypatch):
+    # Lemma 4 runs once, before the degree-2 rounds: one listing in all.
+    calls = []
+
+    def counting(arcs):
+        calls.append(arcs)
+        return triangles(arcs)
+
+    monkeypatch.setattr(triangles_module, "triangles", counting)
+    r = global_reduce_spark(spark, edges_df(spark, edges_for("wiki-Talk", "unit")))
+    assert r.rounds > 1 and r.converged
+    assert len(calls) == 1
