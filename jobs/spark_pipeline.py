@@ -60,18 +60,16 @@ def main() -> None:
         + f"  counters match={same_counters}\n"
         f"  wall={elapsed:.1f}s"
     )
-    converged = True
     if res.reduction is not None:
         r = res.reduction
-        converged = r.converged
         print(
             f"  global reduction: vertices -{r.vertex_ratio:.1%} "
-            f"edges -{r.edge_ratio:.1%} rounds={r.rounds} converged={converged}\n"
+            f"edges -{r.edge_ratio:.1%} rounds={r.rounds}\n"
             f"  residual edges={r.m_after} "
             f"search stage={'ran' if r.m_after else 'skipped'}"
         )
     spark.stop()
-    if not (ok and same_counters and converged):
+    if not (ok and same_counters):
         raise SystemExit(1)
 
 

@@ -223,7 +223,11 @@ def enumerate_cliques_spark(
     order_df, lam = degeneracy_order_spark(spark, edges)
     ranks = order_df.select("v", "rank")
     oriented = _orient(symmetrize(edges), ranks).localCheckpoint(eager=True)
-    tri = triangles(oriented.select(F.col("v").alias("src"), F.col("u").alias("dst")))
+    # Three readers (Algorithm 8's pair counts and both halves of the edge
+    # rows): materialized once, so the listing's joins run once.
+    tri = triangles(
+        oriented.select(F.col("v").alias("src"), F.col("u").alias("dst"))
+    ).localCheckpoint(eager=True)
     ignore = _ignore_table(oriented, tri) if maxcheck else None
 
     zero = F.lit(0).cast("long")

@@ -6,7 +6,7 @@ reproduction needs, DataFrame-native so Catalyst plans every step:
 - canonical edge table ``(src < dst)``, deduplicated, loop-free,
 - symmetrized view for neighborhood joins,
 - degree computation via ``groupBy``,
-- vertex and edge deletion via anti-joins.
+- vertex deletion via anti-joins.
 
 All columns are ``long``. Vertex ids are arbitrary (not required dense).
 """
@@ -53,24 +53,12 @@ def degrees(edges: DataFrame) -> DataFrame:
     )
 
 
-def vertices(edges: DataFrame) -> DataFrame:
-    """Distinct endpoint set ``(v)`` of the edge table."""
-    return (
-        edges.select(F.col("src").alias("v"))
-        .union(edges.select(F.col("dst").alias("v")))
-        .distinct()
-    )
-
-
 def remove_vertices(edges: DataFrame, drop: DataFrame) -> DataFrame:
-    """Edges with *neither* endpoint in ``drop`` (a ``(v)`` DataFrame)."""
+    """Edges with *neither* endpoint in ``drop`` (a ``(v)`` DataFrame),
+    with every column of ``edges``."""
     return (
         edges.join(drop.withColumnRenamed("v", "src"), "src", "left_anti")
         .join(drop.withColumnRenamed("v", "dst"), "dst", "left_anti")
-        .select("src", "dst")
+        .select(*edges.columns)
     )
 
-
-def remove_edges(edges: DataFrame, drop: DataFrame) -> DataFrame:
-    """Canonical-edge anti-join: edges minus ``drop`` (same canonical form)."""
-    return edges.join(drop.select("src", "dst"), ["src", "dst"], "left_anti")

@@ -9,9 +9,10 @@ each 2-path ``task → a → b`` with its closing arc ``task → b``. A vertex
 orientation, and none if it has no in-arc or no out-arc.
 
 Global reduction passes the id orientation of the canonical edge table
-(``src → dst``) to flag the paper's *non-triangle edges* (Definition 8,
-Lemma 4); the search stage passes the degeneracy-rank orientation to build
-each root's subproblem.
+(``src → dst``) to count each edge's *support*, its number of triangles
+(the paper's *non-triangle edges*, Definition 8 and Lemma 4, are the edges
+of support 0); the search stage passes the degeneracy-rank orientation to
+build each root's subproblem.
 """
 from __future__ import annotations
 
@@ -31,13 +32,14 @@ def triangles(arcs: DataFrame) -> DataFrame:
     )
 
 
-def flag_triangle_edges(edges: DataFrame) -> DataFrame:
-    """Canonical edges as ``(src, dst, tri)``: ``tri`` is false exactly for
-    the edges in no triangle (maximal 2-cliques, Lemma 4).
+def edge_support(edges: DataFrame) -> DataFrame:
+    """Canonical edges as ``(src, dst, support)``: ``support`` is the
+    edge's number of triangles, its endpoints' common neighbors; 0 exactly
+    for the maximal 2-cliques of Lemma 4.
 
     Under the id orientation a triangle ``(task, a, b)`` has task < a < b,
     so its three sides are canonical edges of ``edges``: one aggregate over
-    the edges and the sides flags every edge exactly once. The sides are
+    the edges and the sides counts every edge exactly once. The sides are
     exploded from one pass over the listing, not a union of three selects,
     which would run the listing's joins three times."""
     side = F.explode(
@@ -47,11 +49,11 @@ def flag_triangle_edges(edges: DataFrame) -> DataFrame:
             F.struct(F.col("a").alias("src"), F.col("b").alias("dst")),
         )
     ).alias("side")
-    sides = triangles(edges).select(side).select("side.src", "side.dst", F.lit(True))
+    sides = triangles(edges).select(side).select("side.src", "side.dst", F.lit(1))
     return (
-        edges.select("src", "dst", F.lit(False))
+        edges.select("src", "dst", F.lit(0))
         .union(sides)
-        .toDF("src", "dst", "tri")
+        .toDF("src", "dst", "support")
         .groupBy("src", "dst")
-        .agg(F.max("tri").alias("tri"))
+        .agg(F.sum("support").alias("support"))
     )

@@ -11,10 +11,8 @@ from repro.gx.graph import (
     canonicalize,
     degrees,
     edges_df,
-    remove_edges,
     remove_vertices,
     symmetrize,
-    vertices,
 )
 from repro.oracle import assert_equivalent
 
@@ -44,16 +42,6 @@ def test_degrees_vs_oracle(spark, name):
             SELECT src AS v FROM edges UNION ALL SELECT dst AS v FROM edges
         ) GROUP BY v
         """,
-        edges=_pdf(e),
-    )
-
-
-@pytest.mark.parametrize("name", GRAPHS)
-def test_vertices_vs_oracle(spark, name):
-    e = edges_for(name, "unit")
-    assert_equivalent(
-        vertices(edges_df(spark, e)),
-        "SELECT DISTINCT v FROM (SELECT src AS v FROM edges UNION ALL SELECT dst AS v FROM edges)",
         edges=_pdf(e),
     )
 
@@ -88,15 +76,6 @@ def test_remove_vertices_vs_oracle(spark):
         edges=_pdf(e),
         drop=pd.DataFrame({"v": drop_ids}),
     )
-
-
-def test_remove_edges_anti_join(spark):
-    e = edges_for("ca-CondMat", "unit")
-    df = edges_df(spark, e)
-    sample = df.limit(30)
-    remaining = remove_edges(df, sample)
-    assert remaining.count() == df.count() - sample.count()
-    assert remaining.join(sample, ["src", "dst"], "left_semi").count() == 0
 
 
 def test_degrees_max_matches_local(spark):

@@ -7,7 +7,7 @@ import pytest
 from repro.core.global_reduction import global_reduce_local
 from repro.core.spark_global import global_reduce_spark
 from repro.graphs.catalog import edges_for
-from repro.gx.graph import edges_df, vertices
+from repro.gx.graph import degrees, edges_df
 from repro.mce.bitgraph import LocalGraph
 from repro.mce.reference import is_maximal_clique, maximal_cliques_bruteforce
 from tests.conftest import KNOWN_GRAPHS, assert_reduction_fixpoint
@@ -15,7 +15,9 @@ from tests.conftest import KNOWN_GRAPHS, assert_reduction_fixpoint
 GRAPHS = ["ca-CondMat", "inf-road-usa", "sc-delaunay_n23", "wiki-Talk"]
 # Adversarial small graphs, fed through the same decomposition checks.
 # book6 and k4_fan6 give six degree-2 vertices one neighbor pair (0, 1);
-# (0, 1) is dropped only when no other common neighbor is left.
+# (0, 1) is dropped only when no other common neighbor is left. strip12 is
+# a triangle strip, edges (i, i+1) and (i, i+2): each round fires only its
+# two ends, so its rounds grow with its length.
 SMALL = {
     **KNOWN_GRAPHS,
     "empty": [],
@@ -23,12 +25,9 @@ SMALL = {
     "book6": [(0, 1)] + [(a, p) for p in range(2, 8) for a in (0, 1)],
     "k4_fan6": [(i, j) for i in range(4) for j in range(i + 1, 4)]
     + [(a, p) for p in range(4, 10) for a in (0, 1)],
+    "strip12": [(i, i + 1) for i in range(11)] + [(i, i + 2) for i in range(10)],
 }
-# A run cut short of its fixpoint must still be an exact decomposition.
-CAPPED = "wiki-Talk/max_rounds=1"
-# Round 1 already ends at H*: the cap cuts nothing short.
-CAPPED_AT_FIXPOINT = "ca-CondMat/max_rounds=1"
-ALL = GRAPHS + list(SMALL) + [CAPPED, CAPPED_AT_FIXPOINT]
+ALL = GRAPHS + list(SMALL)
 
 
 @pytest.fixture(autouse=True)
@@ -46,9 +45,8 @@ def reduced(spark):
         if name in SMALL:
             e = np.array(SMALL[name], dtype=np.int64).reshape(-1, 2)
         else:
-            e = edges_for(name.split("/")[0], "unit")
-        kw = {"max_rounds": 1} if name.endswith("/max_rounds=1") else {}
-        out[name] = (e, global_reduce_spark(spark, edges_df(spark, e), **kw))
+            e = edges_for(name, "unit")
+        out[name] = (e, global_reduce_spark(spark, edges_df(spark, e)))
     return out
 
 
@@ -59,7 +57,7 @@ def test_decomposition_preserves_cliques(reduced, name):
     # The reported sizes must match a recount of the surviving edge table.
     assert (r.n_before, r.m_before) == (g.n, g.m)
     assert r.m_after == r.edges.count()
-    assert r.n_after == vertices(r.edges).count()
+    assert r.n_after == degrees(r.edges).count()
     truth = maximal_cliques_bruteforce(g)
     surviving = LocalGraph.from_edges(
         [(row["src"], row["dst"]) for row in r.edges.collect()]
@@ -95,23 +93,20 @@ def test_shared_pair_fires_in_one_round(reduced):
     assert reduced["k4_fan6"][1].rounds == 1
 
 
-def test_round_cap_reported(reduced):
-    assert not reduced[CAPPED][1].converged
-    assert all(r.converged for name, (_, r) in reduced.items() if name != CAPPED)
-
-
-def test_cap_at_fixpoint_converged(reduced):
-    # The round that reaches H* knows it: no degree-2 vertex is left.
-    _, r = reduced[CAPPED_AT_FIXPOINT]
-    assert r.rounds == 1 and r.converged
+def test_strip_runs_until_fixpoint(reduced):
+    # Each round fires the strip's two ends; in round 5 both ends have
+    # pair (5, 6), whose support falls to 0, so no edge is left.
+    _, r = reduced["strip12"]
+    assert r.rounds == 5
+    assert r.m_after == r.n_after == 0 and r.edges.count() == 0
+    assert r.cliques.count() == 10
 
 
 def test_converged_runs_reach_fixpoint(reduced):
-    # Lemma 4 runs in round 1 only; a converged run still ends exactly at H*.
+    # Lemma 4 runs in round 1 only; every run still ends exactly at H*.
     for name, (e, r) in reduced.items():
-        if r.converged:
-            edges = [(row["src"], row["dst"]) for row in r.edges.collect()]
-            assert_reduction_fixpoint(LocalGraph.from_edges(edges), LocalGraph.from_edges(e))
+        edges = [(row["src"], row["dst"]) for row in r.edges.collect()]
+        assert_reduction_fixpoint(LocalGraph.from_edges(edges), LocalGraph.from_edges(e))
 
 
 def test_delaunay_barely_reduced(reduced):
@@ -130,7 +125,6 @@ def test_ratios_close_to_local(reduced, name):
     # rules ends at H* (the fixpoint lemma): residuals, reported cliques and
     # ratios are equal exactly.
     e, r = reduced[name]
-    assert r.converged
     local, pre, st = global_reduce_local(LocalGraph.from_edges(e))
     assert {(row["src"], row["dst"]) for row in r.edges.collect()} == set(local.edges())
     rep = {tuple(int(t) for t in row["clique"].split(",")) for row in r.cliques.collect()}
