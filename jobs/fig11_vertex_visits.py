@@ -32,9 +32,9 @@ def main() -> None:
         curves = {}
         cliques = None
         for a in ALGOS:
-            row = run_algorithm(g, a, track_visits=True)
-            curves[a] = visits_by_degree(g, row.result)
-            cliques = row.result.cliques
+            _, res = run_algorithm(g, a, track_visits=True)
+            curves[a] = visits_by_degree(g, res)
+            cliques = res.cliques
         truth = cliques_by_degree(g, cliques)
         degs = sorted(truth)
         pick = [d for i, d in enumerate(degs) if i % max(1, len(degs) // 12) == 0]

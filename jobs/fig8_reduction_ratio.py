@@ -22,7 +22,7 @@ import time
 
 from repro.bench.jobutil import emit, job_session
 from repro.core.global_reduction import global_reduce_local
-from repro.core.spark_global import global_reduce_spark
+from repro.core.spark_global import global_reduce_spark, read_cliques
 from repro.graphs.catalog import GRAPH_NAMES, edges_for
 from repro.gx.graph import edges_df
 from repro.mce.bitgraph import LocalGraph
@@ -73,9 +73,9 @@ def main() -> None:
             sc.setJobGroup(f"fig8-{name}", "global reduction")
             r = global_reduce_spark(spark, edges_df(spark, e))
             sc.setLocalProperty("spark.jobGroup.id", None)
-            rows = [tuple(int(t) for t in row["clique"].split(",")) for row in r.cliques.collect()]
+            rows = read_cliques(r.cliques)
             residual = {(row["src"], row["dst"]) for row in r.edges.collect()}
-            if residual != set(local.edges()) or set(rows) != set(pre):
+            if residual != set(local.edges()) or rows != set(pre):
                 raise SystemExit(
                     f"[fig8] {name}: Spark residual edges or reported cliques "
                     "differ from the local engine's"

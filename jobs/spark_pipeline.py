@@ -16,6 +16,7 @@ import argparse
 import time
 
 from repro.bench.jobutil import job_session
+from repro.core.spark_global import read_cliques
 from repro.core.spark_rmce import _COUNTERS, enumerate_cliques_spark
 from repro.graphs.catalog import edges_for
 from repro.gx.graph import edges_df
@@ -42,7 +43,7 @@ def main() -> None:
         spark, df, recursion=args.recursion,
         global_reduction=red, dynamic=red, maxcheck=red,
     )
-    got = {tuple(int(t) for t in r["clique"].split(",")) for r in res.cliques.collect()}
+    got = read_cliques(res.cliques)
     elapsed = time.time() - t0
     local = enumerate_cliques(
         LocalGraph.from_edges(e), recursion=args.recursion,

@@ -25,18 +25,7 @@ class RunRow:
     graph: str
     algorithm: str
     seconds: float
-    n_cliques: int
-    recursive_calls: int
-    degeneracy: int
     result: EngineResult
-
-    @property
-    def r_vertex(self) -> float:
-        return self.result.metrics.r_vertex
-
-    @property
-    def r_subproblem(self) -> float:
-        return self.result.metrics.r_subproblem
 
 
 def load_graph(name: str, scale: str = "bench") -> LocalGraph:
@@ -46,11 +35,15 @@ def load_graph(name: str, scale: str = "bench") -> LocalGraph:
 
 def run_algorithm(
     g: LocalGraph, algorithm: str, repeats: int = 1, track_visits: bool = False
-) -> RunRow:
-    """Time ``algorithm`` (paper name) on ``g``; keeps the best of ``repeats``.
+) -> tuple[float, EngineResult]:
+    """Time ``algorithm`` (paper name) on ``g``; returns the best of
+    ``repeats`` seconds and the last run's result.
 
     Each timed call starts with the previous result dropped and garbage
-    collected, so no repeat pays for an earlier one's collection.
+    collected, so no repeat pays for an earlier one's collection. Every
+    older object is frozen out of the collector while the call runs: the
+    results a sweep keeps would otherwise be rescanned by each of its full
+    collections, and slowed the sweep's later graphs by up to 3×.
     """
     cfg = algorithm_config(algorithm)
     best = float("inf")
@@ -58,19 +51,13 @@ def run_algorithm(
     for _ in range(repeats):
         res = None
         gc.collect()
+        gc.freeze()
         t0 = time.perf_counter()
         res = enumerate_cliques(g, track_visits=track_visits, **cfg)
         best = min(best, time.perf_counter() - t0)
+        gc.unfreeze()
     assert res is not None
-    return RunRow(
-        graph="",
-        algorithm=algorithm,
-        seconds=best,
-        n_cliques=res.n_cliques,
-        recursive_calls=res.metrics.recursive_calls,
-        degeneracy=res.degeneracy,
-        result=res,
-    )
+    return best, res
 
 
 def sweep(
@@ -78,63 +65,36 @@ def sweep(
     graphs: list[str] | None = None,
     scale: str = "bench",
     repeats: int = 1,
-    verify: bool = True,
-) -> list[RunRow]:
-    """Run every algorithm on every catalog graph; optionally cross-verify
-    that all algorithms report the identical clique set per graph."""
-    rows: list[RunRow] = []
+) -> dict[tuple[str, str], RunRow]:
+    """Run every algorithm on every catalog graph, keyed by ``(graph,
+    algorithm)``; raises unless all algorithms report the identical clique
+    set per graph."""
+    rows: dict[tuple[str, str], RunRow] = {}
     for name in graphs or GRAPH_NAMES:
         g = load_graph(name, scale)
-        per_graph: list[RunRow] = []
+        ref = algorithms[0]
         for algo in algorithms:
-            row = run_algorithm(g, algo, repeats=repeats)
-            row.graph = name
-            per_graph.append(row)
-        if verify and len(per_graph) > 1:
-            ref = per_graph[0].result.cliques
-            for row in per_graph[1:]:
-                if row.result.cliques != ref:
-                    raise AssertionError(
-                        f"clique-set mismatch on {name}: "
-                        f"{per_graph[0].algorithm} vs {row.algorithm}"
-                    )
-        rows.extend(per_graph)
+            rows[name, algo] = RunRow(name, algo, *run_algorithm(g, algo, repeats=repeats))
+            if rows[name, algo].result.cliques != rows[name, ref].result.cliques:
+                raise AssertionError(f"clique-set mismatch on {name}: {ref} vs {algo}")
     return rows
 
 
-def format_table(
-    rows: list[RunRow], algorithms: list[str], value: str = "seconds"
-) -> str:
-    """Render sweep rows as a graph × algorithm markdown table."""
-    by: dict[tuple[str, str], RunRow] = {(r.graph, r.algorithm): r for r in rows}
-    graphs = list(dict.fromkeys(r.graph for r in rows))
-    header = "| Graph | " + " | ".join(algorithms) + " |"
-    sep = "|---" * (len(algorithms) + 1) + "|"
-    lines = [header, sep]
-    for gname in graphs:
-        cells = []
-        for a in algorithms:
-            r = by.get((gname, a))
-            if r is None:
-                cells.append("-")
-            elif value == "seconds":
-                cells.append(f"{r.seconds:.3f}")
-            else:
-                cells.append(str(getattr(r, value)))
-        lines.append(f"| {gname} | " + " | ".join(cells) + " |")
-    return "\n".join(lines)
+def _mean_by_degree(g: LocalGraph, count: dict[int, int]) -> dict[int, float]:
+    """Mean of ``count`` (0 where absent) over the vertices of each degree."""
+    tot: dict[int, int] = {}
+    cnt: dict[int, int] = {}
+    for v in g.adj:
+        d = len(g.adj[v])
+        tot[d] = tot.get(d, 0) + count.get(v, 0)
+        cnt[d] = cnt.get(d, 0) + 1
+    return {d: tot[d] / cnt[d] for d in sorted(tot)}
 
 
 def visits_by_degree(g: LocalGraph, res: EngineResult) -> dict[int, float]:
     """Average visit count per vertex, bucketed by original degree."""
     assert res.metrics.visits is not None, "run with track_visits=True"
-    tot: dict[int, int] = {}
-    cnt: dict[int, int] = {}
-    for v in g.adj:
-        d = len(g.adj[v])
-        tot[d] = tot.get(d, 0) + res.metrics.visits.get(v, 0)
-        cnt[d] = cnt.get(d, 0) + 1
-    return {d: tot[d] / cnt[d] for d in sorted(tot)}
+    return _mean_by_degree(g, res.metrics.visits)
 
 
 def cliques_by_degree(g: LocalGraph, cliques: set[tuple[int, ...]]) -> dict[int, float]:
@@ -144,13 +104,7 @@ def cliques_by_degree(g: LocalGraph, cliques: set[tuple[int, ...]]) -> dict[int,
     for c in cliques:
         for v in c:
             per_vertex[v] = per_vertex.get(v, 0) + 1
-    tot: dict[int, int] = {}
-    cnt: dict[int, int] = {}
-    for v in g.adj:
-        d = len(g.adj[v])
-        tot[d] = tot.get(d, 0) + per_vertex.get(v, 0)
-        cnt[d] = cnt.get(d, 0) + 1
-    return {d: tot[d] / cnt[d] for d in sorted(tot)}
+    return _mean_by_degree(g, per_vertex)
 
 
 def graph_stats_local(name: str, scale: str = "bench") -> dict:
@@ -173,7 +127,6 @@ __all__ = [
     "load_graph",
     "run_algorithm",
     "sweep",
-    "format_table",
     "visits_by_degree",
     "cliques_by_degree",
     "graph_stats_local",

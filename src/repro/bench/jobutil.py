@@ -10,7 +10,7 @@ import os
 from pyspark.sql import SparkSession
 
 
-def job_session(app: str, shuffle_partitions: int = 8) -> SparkSession:
+def job_session(app: str) -> SparkSession:
     """A local SparkSession sized for the catalog-scale graphs."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
@@ -20,7 +20,7 @@ def job_session(app: str, shuffle_partitions: int = 8) -> SparkSession:
     )
     s = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", str(shuffle_partitions))
+        .config("spark.sql.shuffle.partitions", "8")
         # The console progress bar would land in the jobs' logs.
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()

@@ -6,8 +6,6 @@ headline figure statistics (§7.2-§7.3).
 """
 from __future__ import annotations
 
-from ..graphs.catalog import PAPER_TABLE2  # noqa: F401  (re-export)
-
 # Table 3: running time in seconds of RMCEdegen and the three variants
 # (Variant1 = no global reduction, Variant2 = no dynamic reduction,
 # Variant3 = no maximality-check reduction).

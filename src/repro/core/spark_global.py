@@ -86,6 +86,11 @@ def _clique3(a, b, c):
     return F.array_join(F.transform(arr, lambda x: x.cast("string")), ",")
 
 
+def read_cliques(cliques: DataFrame) -> set[tuple[int, ...]]:
+    """Collect a ``(clique: string)`` table as a set of id tuples."""
+    return {tuple(int(t) for t in row["clique"].split(",")) for row in cliques.collect()}
+
+
 @dataclass
 class SparkReductionResult:
     """Outcome of distributed global reduction."""

@@ -42,8 +42,11 @@ def peel(spark: SparkSession, edges: DataFrame) -> tuple[DataFrame, int]:
     is the k-core number and ``round`` the global removal round. Isolated
     vertices never appear in the edge table and so are absent (they play no
     role in MCE under the ≥2-clique convention).
+
+    ``edges`` is read as given: round 0 reads it twice (its degree table
+    and its first residual), so callers pass a materialized table.
     """
-    cur = edges.localCheckpoint(eager=True)
+    cur = edges
     # One row per residual vertex: a vertex whose last edge is removed stays
     # at degree 0 until its round stamps it.
     deg = degrees(cur).localCheckpoint(eager=True)

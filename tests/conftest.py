@@ -135,3 +135,14 @@ def fuzz_graphs() -> list[LocalGraph]:
                 if len(e):
                     out.append(LocalGraph.from_edges(e))
     return out
+
+
+@pytest.fixture(scope="module")
+def few_partitions(spark):
+    """8 shuffle partitions for a module: the Spark tests' graphs are small,
+    and the session's default would schedule mostly empty tasks. Module
+    scope makes the module's own module-scoped fixtures run with it too."""
+    old = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "8")
+    yield
+    spark.conf.set("spark.sql.shuffle.partitions", old)

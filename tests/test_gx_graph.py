@@ -19,12 +19,7 @@ from repro.oracle import assert_equivalent
 GRAPHS = ["ca-CondMat", "inf-road-usa", "wiki-Talk"]
 
 
-@pytest.fixture(autouse=True)
-def _few_partitions(spark):
-    old = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    yield
-    spark.conf.set("spark.sql.shuffle.partitions", old)
+pytestmark = pytest.mark.usefixtures("few_partitions")
 
 
 def _pdf(e: np.ndarray) -> pd.DataFrame:

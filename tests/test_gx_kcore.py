@@ -38,12 +38,7 @@ INPUTS = {
 GRAPHS = list(INPUTS)
 
 
-@pytest.fixture(autouse=True)
-def _few_partitions(spark):
-    old = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    yield
-    spark.conf.set("spark.sql.shuffle.partitions", old)
+pytestmark = pytest.mark.usefixtures("few_partitions")
 
 
 @pytest.fixture(scope="module")

@@ -55,12 +55,7 @@ WHERE NOT EXISTS (
 _TRIANGLE_EDGES_SQL = f"SELECT src, dst FROM edges EXCEPT ({_NON_TRIANGLE_SQL})"
 
 
-@pytest.fixture(autouse=True)
-def _few_partitions(spark):
-    old = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    yield
-    spark.conf.set("spark.sql.shuffle.partitions", old)
+pytestmark = pytest.mark.usefixtures("few_partitions")
 
 
 def _arcs_by_rank(g: LocalGraph, seed: int = 0) -> pd.DataFrame:

@@ -37,28 +37,23 @@ def test_table2_local(tmp_path):
     assert "inf-road-usa" in text
 
 
-def test_table3_ablation(tmp_path):
-    out = tmp_path / "t3.md"
+def test_local_sweep(tmp_path):
     _run(
-        "table3_ablation.py",
+        "local_sweep.py",
         "--scale", "unit", "--repeats", "1",
-        "--graphs", "ca-CondMat,wiki-Talk",
-        "--out", str(out),
+        "--out-dir", str(tmp_path),
     )
-    text = out.read_text()
-    assert "Variant1" in text and "ca-CondMat" in text
-
-
-def test_fig7_speedups(tmp_path):
-    out = tmp_path / "f7.md"
-    _run(
-        "fig7_speedups.py",
-        "--scale", "unit", "--repeats", "1",
-        "--graphs", "inf-road-usa",
-        "--out", str(out),
-    )
-    text = out.read_text()
-    assert "RMCEdegen" in text and "paper max speedup" in text
+    # Each file's title, and a column of its table.
+    headers = {
+        "table3.md": ("## Table 3 — ablation study", "ours Variant1"),
+        "fig7.md": ("## Figure 7 (as table)", "paper max speedup"),
+        "fig9.md": ("## Figure 9 (as table)", "BKdegen calls"),
+        "fig10.md": ("## Figure 10 (as table)", "r_subproblem"),
+    }
+    for name, (title, column) in headers.items():
+        text = (tmp_path / name).read_text()
+        assert text.startswith(title) and column in text, name
+        assert "ca-CondMat" in text and "wiki-Talk" in text, name
 
 
 def test_fig8_local(tmp_path):
@@ -71,28 +66,6 @@ def test_fig8_local(tmp_path):
     )
     text = out.read_text()
     assert "100.0%" in text  # road analog fully deleted
-
-
-def test_fig9_recursive_calls(tmp_path):
-    out = tmp_path / "f9.md"
-    _run(
-        "fig9_recursive_calls.py",
-        "--scale", "unit",
-        "--graphs", "ca-CondMat",
-        "--out", str(out),
-    )
-    assert "BKdegen calls" in out.read_text()
-
-
-def test_fig10_forbidden(tmp_path):
-    out = tmp_path / "f10.md"
-    _run(
-        "fig10_forbidden_reduction.py",
-        "--scale", "unit",
-        "--graphs", "ca-CondMat",
-        "--out", str(out),
-    )
-    assert "r_subproblem" in out.read_text()
 
 
 def test_fig11_visits(tmp_path):
@@ -111,11 +84,8 @@ def test_fig11_visits(tmp_path):
     "job",
     [
         "table2_graph_stats.py",
-        "table3_ablation.py",
-        "fig7_speedups.py",
+        "local_sweep.py",
         "fig8_reduction_ratio.py",
-        "fig9_recursive_calls.py",
-        "fig10_forbidden_reduction.py",
         "fig11_vertex_visits.py",
         "spark_pipeline.py",
     ],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.global_reduction import global_reduce_local
-from repro.core.spark_global import global_reduce_spark
+from repro.core.spark_global import global_reduce_spark, read_cliques
 from repro.graphs.catalog import edges_for
 from repro.gx.graph import degrees, edges_df
 from repro.mce.bitgraph import LocalGraph
@@ -30,12 +30,7 @@ SMALL = {
 ALL = GRAPHS + list(SMALL)
 
 
-@pytest.fixture(autouse=True)
-def _few_partitions(spark):
-    old = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    yield
-    spark.conf.set("spark.sql.shuffle.partitions", old)
+pytestmark = pytest.mark.usefixtures("few_partitions")
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +59,7 @@ def test_decomposition_preserves_cliques(reduced, name):
         or [(0, 0)]  # from_edges drops self-loops -> empty graph
     )
     rest = maximal_cliques_bruteforce(surviving)
-    rep = {
-        tuple(int(t) for t in row["clique"].split(","))
-        for row in r.cliques.collect()
-    }
+    rep = read_cliques(r.cliques)
     assert rep | rest == truth
     assert not (rep & rest)
     for c in rep:
@@ -127,6 +119,6 @@ def test_ratios_close_to_local(reduced, name):
     e, r = reduced[name]
     local, pre, st = global_reduce_local(LocalGraph.from_edges(e))
     assert {(row["src"], row["dst"]) for row in r.edges.collect()} == set(local.edges())
-    rep = {tuple(int(t) for t in row["clique"].split(",")) for row in r.cliques.collect()}
+    rep = read_cliques(r.cliques)
     assert rep == set(pre)
     assert (r.vertex_ratio, r.edge_ratio) == (st.vertex_ratio, st.edge_ratio)

@@ -11,6 +11,7 @@ from repro.core.spark_rmce import (
     _orient,
     enumerate_cliques_spark,
 )
+from repro.core.spark_global import read_cliques
 from repro.graphs.catalog import edges_for
 from repro.gx.graph import edges_df, symmetrize
 from repro.gx.kcore import degeneracy_order_spark
@@ -23,19 +24,7 @@ from repro.mce.reference import maximal_cliques_bruteforce
 from tests.conftest import CYCLE_COUNTEREXAMPLE, ignore_ids_by_definition
 
 
-@pytest.fixture(autouse=True)
-def _few_partitions(spark):
-    old = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    yield
-    spark.conf.set("spark.sql.shuffle.partitions", old)
-
-
-def _collect(res) -> set[tuple[int, ...]]:
-    return {
-        tuple(int(t) for t in r["clique"].split(","))
-        for r in res.cliques.collect()
-    }
+pytestmark = pytest.mark.usefixtures("few_partitions")
 
 
 @pytest.mark.parametrize("name", ["ca-CondMat", "inf-road-usa"])
@@ -43,7 +32,7 @@ def test_rmce_pipeline_matches_local(spark, name):
     e = edges_for(name, "unit")
     local = enumerate_cliques(LocalGraph.from_edges(e), "pivot", True, True, True)
     res = enumerate_cliques_spark(spark, edges_df(spark, e), "pivot", True, True, True)
-    got = _collect(res)
+    got = read_cliques(res.cliques)
     assert got == local.cliques
     assert res.cliques.count() == len(got), "duplicate clique rows"
     assert res.degeneracy == local.degeneracy
@@ -70,7 +59,7 @@ def test_every_residual_vertex_is_a_subproblem(spark, name, reduced):
     for f in _COUNTERS:
         assert getattr(res, f) == getattr(local.metrics, f), f
     assert res.degeneracy == local.degeneracy
-    assert _collect(res) == local.cliques
+    assert read_cliques(res.cliques) == local.cliques
 
 
 @pytest.mark.parametrize("name", ["roadNet-CA", "inf-road-usa"])
@@ -85,7 +74,7 @@ def test_fully_reduced_skips_search(spark, monkeypatch, name):
     e = edges_for(name, "unit")
     local = enumerate_cliques(LocalGraph.from_edges(e), "pivot", True, True, True)
     res = enumerate_cliques_spark(spark, edges_df(spark, e), "pivot", True, True, True)
-    got = _collect(res)
+    got = read_cliques(res.cliques)
     assert res.reduction.m_after == 0
     assert got == local.cliques
     assert res.cliques.count() == len(got), "duplicate clique rows"
@@ -104,7 +93,7 @@ def test_tiny_graphs_in_pipeline(spark, edges, reduced):
     res = enumerate_cliques_spark(
         spark, edges_df(spark, e), "pivot", reduced, reduced, reduced
     )
-    got = _collect(res)
+    got = read_cliques(res.cliques)
     assert got == maximal_cliques_bruteforce(g)
     assert res.cliques.count() == len(got), "duplicate clique rows"
     local = enumerate_cliques(g, "pivot", reduced, reduced, reduced)
@@ -115,14 +104,14 @@ def test_baseline_pipeline_matches_bruteforce(spark):
     e = edges_for("ca-CondMat", "unit")
     truth = maximal_cliques_bruteforce(LocalGraph.from_edges(e))
     res = enumerate_cliques_spark(spark, edges_df(spark, e), "pivot", False, False, False)
-    assert _collect(res) == truth
+    assert read_cliques(res.cliques) == truth
 
 
 def test_rcd_recursion_in_pipeline(spark):
     e = edges_for("sc-delaunay_n23", "unit")
     truth = maximal_cliques_bruteforce(LocalGraph.from_edges(e))
     res = enumerate_cliques_spark(spark, edges_df(spark, e), "rcd", True, True, True)
-    assert _collect(res) == truth
+    assert read_cliques(res.cliques) == truth
 
 
 @pytest.mark.parametrize("rec", RECURSIONS)
@@ -132,7 +121,7 @@ def test_cycle_counterexample_in_pipeline(spark, rec):
     e = np.array(CYCLE_COUNTEREXAMPLE)
     truth = maximal_cliques_bruteforce(LocalGraph.from_edges(e))
     res = enumerate_cliques_spark(spark, edges_df(spark, e), rec, False, False, True)
-    got = _collect(res)
+    got = read_cliques(res.cliques)
     assert got == truth
     assert res.cliques.count() == len(got), "duplicate clique rows"
 
