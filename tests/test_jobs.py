@@ -37,23 +37,43 @@ def test_table2_local(tmp_path):
     assert "inf-road-usa" in text
 
 
-def test_local_sweep(tmp_path):
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    """One local_sweep.py run; the four tests below read its four files."""
+    out = tmp_path_factory.mktemp("sweep")
     _run(
         "local_sweep.py",
         "--scale", "unit", "--repeats", "1",
-        "--out-dir", str(tmp_path),
+        "--out-dir", str(out),
     )
-    # Each file's title, and a column of its table.
-    headers = {
-        "table3.md": ("## Table 3 — ablation study", "ours Variant1"),
-        "fig7.md": ("## Figure 7 (as table)", "paper max speedup"),
-        "fig9.md": ("## Figure 9 (as table)", "BKdegen calls"),
-        "fig10.md": ("## Figure 10 (as table)", "r_subproblem"),
-    }
-    for name, (title, column) in headers.items():
-        text = (tmp_path / name).read_text()
-        assert text.startswith(title) and column in text, name
-        assert "ca-CondMat" in text and "wiki-Talk" in text, name
+    return out
+
+
+def _sweep_file(out, name: str, title: str) -> str:
+    text = (out / name).read_text()
+    assert text.startswith(title), name
+    assert "ca-CondMat" in text and "wiki-Talk" in text, name
+    return text
+
+
+def test_table3_ablation(sweep_dir):
+    text = _sweep_file(sweep_dir, "table3.md", "## Table 3 — ablation study")
+    assert "ours Variant1" in text
+
+
+def test_fig7_speedups(sweep_dir):
+    text = _sweep_file(sweep_dir, "fig7.md", "## Figure 7 (as table)")
+    assert "RMCEdegen" in text and "paper max speedup" in text
+
+
+def test_fig9_recursive_calls(sweep_dir):
+    text = _sweep_file(sweep_dir, "fig9.md", "## Figure 9 (as table)")
+    assert "BKdegen calls" in text
+
+
+def test_fig10_forbidden(sweep_dir):
+    text = _sweep_file(sweep_dir, "fig10.md", "## Figure 10 (as table)")
+    assert "r_subproblem" in text
 
 
 def test_fig8_local(tmp_path):
