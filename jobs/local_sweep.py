@@ -101,10 +101,10 @@ def fig9(rows: Rows, names: list[str]) -> str:
     ]
     worst = {a: 0.0 for a in RMCE}
     for name in names:
-        base = rows[name, "BKdegen"].result.metrics.recursive_calls
+        base = rows[name, "BKdegen"].metrics.recursive_calls
         cells = []
         for a in RMCE:
-            calls = rows[name, a].result.metrics.recursive_calls
+            calls = rows[name, a].metrics.recursive_calls
             ratio = calls / base if base else 0.0
             worst[a] = max(worst[a], ratio)
             cells.append(f"{ratio:.1%}")
@@ -125,7 +125,7 @@ def fig10(rows: Rows, names: list[str]) -> str:
         "|---|---|---|---|---|",
     ]
     for name in names:
-        m = rows[name, "RMCEdegen"].result.metrics
+        m = rows[name, "RMCEdegen"].metrics
         lines.append(
             f"| {name} | {m.x_before} | {m.x_after} "
             f"| {1 - m.r_vertex:.1%} | {m.r_subproblem:.1%} |"

@@ -8,7 +8,6 @@ local engine (both peel in the same order); exits non-zero on a difference.
 Usage::
 
     spark-submit jobs/spark_pipeline.py [--graph ca-CondMat] [--scale unit]
-        [--recursion pivot] [--baseline]
 """
 from __future__ import annotations
 
@@ -28,47 +27,32 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--graph", default="ca-CondMat")
     ap.add_argument("--scale", default="unit", choices=["unit", "bench"])
-    ap.add_argument("--recursion", default="pivot",
-                    choices=["pivot", "rcd", "facen", "revised"])
-    ap.add_argument("--baseline", action="store_true",
-                    help="run the BK baseline pipeline (no reductions)")
     args = ap.parse_args()
 
     spark = job_session("spark-rmce")
     e = edges_for(args.graph, args.scale)
     df = edges_df(spark, e)
-    red = not args.baseline
     t0 = time.time()
-    res = enumerate_cliques_spark(
-        spark, df, recursion=args.recursion,
-        global_reduction=red, dynamic=red, maxcheck=red,
-    )
+    res = enumerate_cliques_spark(spark, df)
     got = read_cliques(res.cliques)
     elapsed = time.time() - t0
-    local = enumerate_cliques(
-        LocalGraph.from_edges(e), recursion=args.recursion,
-        global_reduction=red, dynamic=red, maxcheck=red,
-    )
+    local = enumerate_cliques(LocalGraph.from_edges(e))
     ok = got == local.cliques
     pairs = {"degeneracy": (res.degeneracy, local.degeneracy)}
     pairs |= {f: (getattr(res, f), getattr(local.metrics, f)) for f in _COUNTERS}
     same_counters = all(a == b for a, b in pairs.values())
+    st = res.reduction.stats
     print(
-        f"[spark-rmce] graph={args.graph} scale={args.scale} "
-        f"recursion={args.recursion} reductions={'on' if red else 'off'}\n"
+        f"[spark-rmce] graph={args.graph} scale={args.scale}\n"
         f"  cliques={len(got)} (local {len(local.cliques)}) match={ok}\n"
         + "".join(f"  {f}={a} (local {b})\n" for f, (a, b) in pairs.items())
         + f"  counters match={same_counters}\n"
-        f"  wall={elapsed:.1f}s"
+        f"  wall={elapsed:.1f}s\n"
+        f"  global reduction: vertices -{st.vertex_ratio:.1%} "
+        f"edges -{st.edge_ratio:.1%} rounds={res.reduction.rounds}\n"
+        f"  residual edges={st.m_after} "
+        f"search stage={'ran' if st.m_after else 'skipped'}"
     )
-    if res.reduction is not None:
-        r = res.reduction
-        print(
-            f"  global reduction: vertices -{r.vertex_ratio:.1%} "
-            f"edges -{r.edge_ratio:.1%} rounds={r.rounds}\n"
-            f"  residual edges={r.m_after} "
-            f"search stage={'ran' if r.m_after else 'skipped'}"
-        )
     spark.stop()
     if not (ok and same_counters):
         raise SystemExit(1)

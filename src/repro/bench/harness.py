@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from ..graphs.catalog import GRAPH_NAMES, edges_for
 from ..mce.bitgraph import LocalGraph
 from ..mce.engine import EngineResult, algorithm_config, enumerate_cliques
+from ..mce.metrics import Metrics
 
 
 @dataclass
@@ -25,7 +26,7 @@ class RunRow:
     graph: str
     algorithm: str
     seconds: float
-    result: EngineResult
+    metrics: Metrics
 
 
 def load_graph(name: str, scale: str = "bench") -> LocalGraph:
@@ -40,10 +41,7 @@ def run_algorithm(
     ``repeats`` seconds and the last run's result.
 
     Each timed call starts with the previous result dropped and garbage
-    collected, so no repeat pays for an earlier one's collection. Every
-    older object is frozen out of the collector while the call runs: the
-    results a sweep keeps would otherwise be rescanned by each of its full
-    collections, and slowed the sweep's later graphs by up to 3×.
+    collected, so no repeat pays for an earlier one's collection.
     """
     cfg = algorithm_config(algorithm)
     best = float("inf")
@@ -51,11 +49,9 @@ def run_algorithm(
     for _ in range(repeats):
         res = None
         gc.collect()
-        gc.freeze()
         t0 = time.perf_counter()
         res = enumerate_cliques(g, track_visits=track_visits, **cfg)
         best = min(best, time.perf_counter() - t0)
-        gc.unfreeze()
     assert res is not None
     return best, res
 
@@ -68,15 +64,20 @@ def sweep(
 ) -> dict[tuple[str, str], RunRow]:
     """Run every algorithm on every catalog graph, keyed by ``(graph,
     algorithm)``; raises unless all algorithms report the identical clique
-    set per graph."""
+    set per graph. Only each run's seconds and metrics are kept: a graph's
+    clique sets are dropped before the next graph runs."""
     rows: dict[tuple[str, str], RunRow] = {}
     for name in graphs or GRAPH_NAMES:
         g = load_graph(name, scale)
-        ref = algorithms[0]
+        ref = None
         for algo in algorithms:
-            rows[name, algo] = RunRow(name, algo, *run_algorithm(g, algo, repeats=repeats))
-            if rows[name, algo].result.cliques != rows[name, ref].result.cliques:
-                raise AssertionError(f"clique-set mismatch on {name}: {ref} vs {algo}")
+            seconds, res = run_algorithm(g, algo, repeats=repeats)
+            if ref is None:
+                ref = res.cliques
+            elif res.cliques != ref:
+                raise AssertionError(f"clique-set mismatch on {name}: {algorithms[0]} vs {algo}")
+            rows[name, algo] = RunRow(name, algo, seconds, res.metrics)
+        del ref, res
     return rows
 
 
@@ -130,5 +131,4 @@ __all__ = [
     "visits_by_degree",
     "cliques_by_degree",
     "graph_stats_local",
-    "GRAPH_NAMES",
 ]

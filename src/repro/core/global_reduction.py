@@ -40,13 +40,12 @@ from ..mce.bitgraph import LocalGraph
 
 @dataclass
 class ReductionStats:
-    """Before/after accounting for the Figure-8 experiment."""
+    """Before/after sizes for the Figure-8 experiment, from either engine."""
 
     n_before: int
     m_before: int
     n_after: int
     m_after: int
-    cliques_reported: int
 
     @property
     def vertex_ratio(self) -> float:
@@ -125,5 +124,5 @@ def global_reduce_local(
     _edge_pass(adj, report)
     _vertex_pass(adj, report)
     reduced = LocalGraph(adj)
-    stats = ReductionStats(n0, m0, reduced.n, reduced.m, len(reported))
+    stats = ReductionStats(n0, m0, reduced.n, reduced.m)
     return reduced, reported, stats

@@ -75,6 +75,7 @@ from pyspark.sql import functions as F
 
 from ..gx.graph import remove_vertices, symmetrize
 from ..gx.triangles import edge_support
+from .global_reduction import ReductionStats
 
 
 def _clique2(a, b):
@@ -97,19 +98,8 @@ class SparkReductionResult:
 
     edges: DataFrame  # surviving canonical edges
     cliques: DataFrame  # (clique: string) reported by the reduction
-    n_before: int
-    m_before: int
-    n_after: int
-    m_after: int
+    stats: ReductionStats
     rounds: int
-
-    @property
-    def vertex_ratio(self) -> float:
-        return 1.0 - self.n_after / self.n_before if self.n_before else 0.0
-
-    @property
-    def edge_ratio(self) -> float:
-        return 1.0 - self.m_after / self.m_before if self.m_before else 0.0
 
 
 def _firings(edges: DataFrame) -> DataFrame:
@@ -189,10 +179,7 @@ def global_reduce_spark(spark: SparkSession, edges: DataFrame) -> SparkReduction
         edges=edges.select("src", "dst"),
         # Each part reads a checkpoint: the union is not materialized.
         cliques=reduce(DataFrame.union, clique_parts),
-        n_before=n0,
-        m_before=m0,
-        n_after=n,
-        m_after=m,
+        stats=ReductionStats(n0, m0, n, m),
         # Round 1 is Lemma 4 plus the first batch, if there is one.
         rounds=max(rounds, int(m0 > 0)),
     )

@@ -207,7 +207,7 @@ def enumerate_cliques_spark(
     if global_reduction:
         # global_reduce_spark reads its input in one materialized pass.
         reduction = global_reduce_spark(spark, edges)
-        if not reduction.m_after:
+        if not reduction.stats.m_after:
             # Nothing left to search: the reduction's cliques are all of them.
             return SparkMCEResult(
                 cliques=reduction.cliques,

@@ -42,10 +42,6 @@ class EngineResult:
     degeneracy: int = 0
     reduction_stats: ReductionStats | None = None
 
-    @property
-    def n_cliques(self) -> int:
-        return len(self.cliques)
-
 
 def enumerate_cliques(
     graph: LocalGraph | np.ndarray,

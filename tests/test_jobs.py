@@ -1,7 +1,8 @@
-"""Job entrypoints run end-to-end (tiny scale, local engine paths).
+"""Job entrypoints run end-to-end at unit scale.
 
-The Spark-engine paths of the jobs are covered by the dedicated Spark tests
-(same library calls); invoking them here would spawn/stop extra JVMs.
+``spark_sweep.py`` runs its Spark path and its exit check on two graphs in
+its own JVM. ``spark_pipeline.py`` is only started with ``--help``: its
+library path is covered by ``tests/test_spark_rmce.py``.
 """
 from __future__ import annotations
 
@@ -23,18 +24,6 @@ def _run(job: str, *args: str) -> str:
     )
     assert proc.returncode == 0, f"{job} failed:\n{proc.stdout}\n{proc.stderr}"
     return proc.stdout
-
-
-def test_table2_local(tmp_path):
-    out = tmp_path / "t2.md"
-    text = _run(
-        "table2_graph_stats.py",
-        "--engine", "local", "--scale", "unit",
-        "--graphs", "ca-CondMat,inf-road-usa",
-        "--out", str(out),
-    )
-    assert "Table 2" in out.read_text()
-    assert "inf-road-usa" in text
 
 
 @pytest.fixture(scope="module")
@@ -76,16 +65,21 @@ def test_fig10_forbidden(sweep_dir):
     assert "r_subproblem" in text
 
 
-def test_fig8_local(tmp_path):
-    out = tmp_path / "f8.md"
+def test_spark_sweep(tmp_path):
     _run(
-        "fig8_reduction_ratio.py",
-        "--engine", "local", "--scale", "unit",
-        "--graphs", "inf-road-usa,sc-delaunay_n23",
-        "--out", str(out),
+        "spark_sweep.py",
+        "--scale", "unit",
+        "--graphs", "ca-CondMat,inf-road-usa",
+        "--out-dir", str(tmp_path),
     )
-    text = out.read_text()
-    assert "100.0%" in text  # road analog fully deleted
+    t2 = (tmp_path / "table2.md").read_text()
+    assert t2.startswith("## Table 2 — graph statistics")
+    assert "peel rounds" in t2 and "ca-CondMat" in t2
+    f8 = (tmp_path / "fig8.md").read_text()
+    assert f8.startswith("## Figure 8 (as table)")
+    assert "Spark jobs" in f8
+    road = next(line for line in f8.splitlines() if line.startswith("| inf-road-usa"))
+    assert "100.0%" in road  # road analog fully deleted
 
 
 def test_fig11_visits(tmp_path):
@@ -103,9 +97,8 @@ def test_fig11_visits(tmp_path):
 @pytest.mark.parametrize(
     "job",
     [
-        "table2_graph_stats.py",
         "local_sweep.py",
-        "fig8_reduction_ratio.py",
+        "spark_sweep.py",
         "fig11_vertex_visits.py",
         "spark_pipeline.py",
     ],

@@ -50,9 +50,9 @@ def test_decomposition_preserves_cliques(reduced, name):
     e, r = reduced[name]
     g = LocalGraph.from_edges(e)
     # The reported sizes must match a recount of the surviving edge table.
-    assert (r.n_before, r.m_before) == (g.n, g.m)
-    assert r.m_after == r.edges.count()
-    assert r.n_after == degrees(r.edges).count()
+    assert (r.stats.n_before, r.stats.m_before) == (g.n, g.m)
+    assert r.stats.m_after == r.edges.count()
+    assert r.stats.n_after == degrees(r.edges).count()
     truth = maximal_cliques_bruteforce(g)
     surviving = LocalGraph.from_edges(
         [(row["src"], row["dst"]) for row in r.edges.collect()]
@@ -74,7 +74,7 @@ def test_no_duplicate_reports(reduced, name):
 
 def test_road_fully_reduced(reduced):
     _, r = reduced["inf-road-usa"]
-    assert r.vertex_ratio == 1.0 and r.edge_ratio == 1.0
+    assert r.stats.vertex_ratio == 1.0 and r.stats.edge_ratio == 1.0
     assert r.edges.count() == 0
     assert r.rounds == 1
 
@@ -90,7 +90,7 @@ def test_strip_runs_until_fixpoint(reduced):
     # pair (5, 6), whose support falls to 0, so no edge is left.
     _, r = reduced["strip12"]
     assert r.rounds == 5
-    assert r.m_after == r.n_after == 0 and r.edges.count() == 0
+    assert r.stats.m_after == r.stats.n_after == 0 and r.edges.count() == 0
     assert r.cliques.count() == 10
 
 
@@ -103,22 +103,22 @@ def test_converged_runs_reach_fixpoint(reduced):
 
 def test_delaunay_barely_reduced(reduced):
     _, r = reduced["sc-delaunay_n23"]
-    assert r.vertex_ratio < 0.15 and r.edge_ratio < 0.15
+    assert r.stats.vertex_ratio < 0.15 and r.stats.edge_ratio < 0.15
 
 
 def test_star_heavily_reduced(reduced):
     _, r = reduced["wiki-Talk"]
-    assert r.vertex_ratio > 0.4
+    assert r.stats.vertex_ratio > 0.4
 
 
 @pytest.mark.parametrize("name", GRAPHS + list(SMALL))
 def test_ratios_close_to_local(reduced, name):
     # Batch order differs from the sequential queue, but every order of the
     # rules ends at H* (the fixpoint lemma): residuals, reported cliques and
-    # ratios are equal exactly.
+    # all four sizes are equal exactly.
     e, r = reduced[name]
     local, pre, st = global_reduce_local(LocalGraph.from_edges(e))
     assert {(row["src"], row["dst"]) for row in r.edges.collect()} == set(local.edges())
     rep = read_cliques(r.cliques)
     assert rep == set(pre)
-    assert (r.vertex_ratio, r.edge_ratio) == (st.vertex_ratio, st.edge_ratio)
+    assert r.stats == st

@@ -53,7 +53,7 @@ def test_every_residual_vertex_is_a_subproblem(spark, name, reduced):
     local = enumerate_cliques(g, "pivot", reduced, reduced, reduced)
     res = enumerate_cliques_spark(spark, edges_df(spark, e), "pivot", reduced, reduced, reduced)
     r = res.reduction
-    n, m = (r.n_after, r.m_after) if reduced else (g.n, g.m)
+    n, m = (r.stats.n_after, r.stats.m_after) if reduced else (g.n, g.m)
     assert res.subproblems == n
     assert res.x_before == m
     for f in _COUNTERS:
@@ -75,7 +75,7 @@ def test_fully_reduced_skips_search(spark, monkeypatch, name):
     local = enumerate_cliques(LocalGraph.from_edges(e), "pivot", True, True, True)
     res = enumerate_cliques_spark(spark, edges_df(spark, e), "pivot", True, True, True)
     got = read_cliques(res.cliques)
-    assert res.reduction.m_after == 0
+    assert res.reduction.stats.m_after == 0
     assert got == local.cliques
     assert res.cliques.count() == len(got), "duplicate clique rows"
     assert res.degeneracy == local.degeneracy
