@@ -48,30 +48,19 @@ os.environ.setdefault(
 )
 
 import pytest  # noqa: E402
-from pyspark.sql import SparkSession  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
+def spark():
+    """One SparkSession for the whole test session: the jobs' own
+    ``job_session``, so tests run the settings the jobs and the benchmark
+    run. Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set
+    above, pre-JVM-launch)."""
+    # Imported here: ``repro`` is on the path only once ``src`` is, and
+    # this file is also loaded for ``pytest perfbench``.
+    from repro.bench.jobutil import job_session
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
-    """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = job_session("repro-tests")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

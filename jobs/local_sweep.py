@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Reproduce Table 3 and Figures 7, 9 and 10 (as tables) from one sweep.
+"""Reproduce Table 3 and Figures 7, 9, 10 and 11 (as tables) from one sweep.
 
-All four come from the same runs: the 4 BK baselines, the 4 RMCE
+The first four come from the same runs: the 4 BK baselines, the 4 RMCE
 recursions and the 3 Table-3 variants on every catalog graph, timed on the
 local kernel (the paper's single-machine setting — DESIGN.md §3). The
 sweep cross-verifies that all 11 configurations report the identical
@@ -15,6 +15,10 @@ clique set per graph.
 - ``fig10.md``: RMCEdegen's maximality-check reduction ratios, r_vertex =
   Σ|X′| / Σ|X| and r_subproblem = fraction of outer subproblems whose X
   shrank.
+- ``fig11.md``: mean vertex visits by degree for BKdegen, BKrcd and
+  RMCEdegen, next to the #maximal-cliques-per-vertex ground truth, on the
+  paper's four spotlight graphs that are in ``--graphs``. These are
+  untimed ``track_visits`` runs after the timed sweep.
 
 Usage::
 
@@ -26,7 +30,14 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.bench.harness import RunRow, sweep
+from repro.bench.harness import (
+    RunRow,
+    cliques_by_degree,
+    load_graph,
+    run_algorithm,
+    sweep,
+    visits_by_degree,
+)
 from repro.bench.jobutil import emit
 from repro.bench.paper import (
     PAPER_FIG7_HEADLINES,
@@ -41,6 +52,8 @@ PAIRS = [("BKdegen", "RMCEdegen"), ("BKrcd", "RMCErcd"),
 RMCE = [r for _, r in PAIRS]
 VARIANTS = list(TABLE3_COLUMNS)  # RMCEdegen, Variant1, Variant2, Variant3
 ALGOS = [b for b, _ in PAIRS] + RMCE + VARIANTS[1:]
+SPOTLIGHT = ["web-Google", "cit-Patents", "soc-pokec", "com-dblp"]
+VISITS = ["BKdegen", "BKrcd", "RMCEdegen"]
 
 Rows = dict[tuple[str, str], RunRow]
 
@@ -133,6 +146,37 @@ def fig10(rows: Rows, names: list[str]) -> str:
     return "\n".join(lines)
 
 
+def fig11(names: list[str], scale: str) -> str:
+    lines = ["## Figure 11 (as table) — mean vertex visits by degree", ""]
+    for name in names:
+        g = load_graph(name, scale)
+        curves = {}
+        cliques = None
+        for a in VISITS:
+            _, res = run_algorithm(g, a, track_visits=True)
+            curves[a] = visits_by_degree(g, res)
+            cliques = res.cliques
+        truth = cliques_by_degree(g, cliques)
+        degs = sorted(truth)
+        pick = [d for i, d in enumerate(degs) if i % max(1, len(degs) // 12) == 0]
+        lines.append(f"### {name}")
+        lines.append("")
+        lines.append("| degree | #maximal cliques (avg) | " + " | ".join(VISITS) + " |")
+        lines.append("|---" * (len(VISITS) + 2) + "|")
+        for d in pick:
+            cells = [f"{curves[a].get(d, 0.0):.1f}" for a in VISITS]
+            lines.append(f"| {d} | {truth[d]:.1f} | " + " | ".join(cells) + " |")
+        # Headline: reduction of visits vs both baselines, averaged over degrees.
+        for base in ("BKdegen", "BKrcd"):
+            tot_b = sum(curves[base].values())
+            tot_r = sum(curves["RMCEdegen"].get(d, 0.0) for d in curves[base])
+            red = 1 - tot_r / tot_b if tot_b else 0.0
+            lines.append(f"- RMCEdegen reduces {red:.0%} of per-degree mean visits vs {base}")
+        lines.append("")
+        print(f"[fig11] {name} done", flush=True)
+    return "\n".join(lines)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--scale", default="bench", choices=["unit", "bench"])
@@ -143,9 +187,13 @@ def main() -> None:
     names = args.graphs.split(",") if args.graphs else GRAPH_NAMES
 
     rows = sweep(ALGOS, names, scale=args.scale, repeats=args.repeats)
+
+    def out(stem: str) -> str | None:
+        return os.path.join(args.out_dir, f"{stem}.md") if args.out_dir else None
+
     for stem, render in (("table3", table3), ("fig7", fig7), ("fig9", fig9), ("fig10", fig10)):
-        out = os.path.join(args.out_dir, f"{stem}.md") if args.out_dir else None
-        emit(out, render(rows, names))
+        emit(out(stem), render(rows, names))
+    emit(out("fig11"), fig11([n for n in SPOTLIGHT if n in names], args.scale))
 
 
 if __name__ == "__main__":

@@ -99,8 +99,9 @@ def main() -> None:
     r.edges.collect()
     for name in names:
         e = edges_for(name, args.scale)
-        local = graph_stats_local(name, args.scale)
-        residual, pre, st = global_reduce_local(LocalGraph.from_edges(e))
+        g = LocalGraph.from_edges(e)
+        local = graph_stats_local(g)
+        residual, pre, st = global_reduce_local(g)
 
         t0 = time.perf_counter()
         df = edges_df(spark, e).localCheckpoint(eager=True)

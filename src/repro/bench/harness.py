@@ -108,14 +108,12 @@ def cliques_by_degree(g: LocalGraph, cliques: set[tuple[int, ...]]) -> dict[int,
     return _mean_by_degree(g, per_vertex)
 
 
-def graph_stats_local(name: str, scale: str = "bench") -> dict:
-    """Table 2 statistics of a catalog analog via the local substrate."""
+def graph_stats_local(g: LocalGraph) -> dict:
+    """Table 2 statistics of ``g`` via the local substrate."""
     from ..mce.bitgraph import degeneracy_order
 
-    g = load_graph(name, scale)
     _, _, lam = degeneracy_order(g)
     return {
-        "graph": name,
         "n": g.n,
         "m": g.m,
         "d_max": g.max_degree(),

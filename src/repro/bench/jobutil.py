@@ -1,7 +1,7 @@
 """Helpers for spark-submit job entrypoints in jobs/.
 
-Jobs are standalone scripts (own SparkSession); tests use the shared
-``spark`` fixture from conftest.py instead.
+Jobs are standalone scripts, each with its own ``job_session``; the tests'
+shared ``spark`` fixture (conftest.py) is a ``job_session`` too.
 """
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ from pyspark.sql import SparkSession
 
 
 def job_session(app: str) -> SparkSession:
-    """A local SparkSession sized for the catalog-scale graphs."""
+    """A local SparkSession sized for the catalog-scale graphs: the one
+    session configuration of the jobs and the tests."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         "--master local[*] --driver-memory 8g "
@@ -21,6 +22,8 @@ def job_session(app: str) -> SparkSession:
     s = (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "8")
+        # ``edges_df`` builds every input through ``createDataFrame(pandas)``.
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         # The console progress bar would land in the jobs' logs.
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()

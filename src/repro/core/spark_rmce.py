@@ -43,7 +43,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..gx.graph import canonicalize, symmetrize
+from ..gx.graph import symmetrize
 from ..gx.kcore import degeneracy_order_spark
 from ..gx.triangles import triangles
 from ..mce.bitgraph import LocalGraph
@@ -200,8 +200,9 @@ def enumerate_cliques_spark(
     dynamic: bool = True,
     maxcheck: bool = True,
 ) -> SparkMCEResult:
-    """Distributed maximal clique enumeration (size ≥ 2) over ``edges``."""
-    edges = canonicalize(edges)
+    """Distributed maximal clique enumeration (size ≥ 2) over ``edges``, a
+    canonical edge table (``src < dst``, distinct, loop-free) as
+    ``gx.graph.edges_df`` builds it."""
     reduction: SparkReductionResult | None = None
     pre: DataFrame | None = None
     if global_reduction:
@@ -275,8 +276,7 @@ def enumerate_cliques_spark(
 
     kernel = _make_kernel(recursion, dynamic)
     out = (
-        payload.repartition("task")
-        .groupBy("task")
+        payload.groupBy("task")
         .applyInPandas(kernel, schema=_OUT_SCHEMA)
         .localCheckpoint(eager=True)
     )

@@ -19,9 +19,6 @@ from repro.oracle import assert_equivalent
 GRAPHS = ["ca-CondMat", "inf-road-usa", "wiki-Talk"]
 
 
-pytestmark = pytest.mark.usefixtures("few_partitions")
-
-
 def _pdf(e: np.ndarray) -> pd.DataFrame:
     return pd.DataFrame({"src": e[:, 0], "dst": e[:, 1]})
 

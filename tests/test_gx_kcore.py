@@ -38,9 +38,6 @@ INPUTS = {
 GRAPHS = list(INPUTS)
 
 
-pytestmark = pytest.mark.usefixtures("few_partitions")
-
-
 @pytest.fixture(scope="module")
 def peeled(spark):
     out = {}

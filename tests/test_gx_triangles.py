@@ -55,9 +55,6 @@ WHERE NOT EXISTS (
 _TRIANGLE_EDGES_SQL = f"SELECT src, dst FROM edges EXCEPT ({_NON_TRIANGLE_SQL})"
 
 
-pytestmark = pytest.mark.usefixtures("few_partitions")
-
-
 def _arcs_by_rank(g: LocalGraph, seed: int = 0) -> pd.DataFrame:
     """Every edge of ``g`` directed from lower to higher rank, the ranks a
     random permutation of the vertices: an orientation unrelated to ids."""

@@ -91,7 +91,7 @@ def test_road_analog_needs_no_recursion():
 
 
 def test_graph_stats_local():
-    s = graph_stats_local("sc-delaunay_n23", "unit")
+    s = graph_stats_local(load_graph("sc-delaunay_n23", "unit"))
     assert s["degeneracy"] == 3
     assert s["n"] > 0 and s["m"] > 0 and s["d_max"] > 0
 

@@ -28,7 +28,7 @@ def _run(job: str, *args: str) -> str:
 
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
-    """One local_sweep.py run; the four tests below read its four files."""
+    """One local_sweep.py run; the five tests below read its five files."""
     out = tmp_path_factory.mktemp("sweep")
     _run(
         "local_sweep.py",
@@ -82,15 +82,8 @@ def test_spark_sweep(tmp_path):
     assert "100.0%" in road  # road analog fully deleted
 
 
-def test_fig11_visits(tmp_path):
-    out = tmp_path / "f11.md"
-    _run(
-        "fig11_vertex_visits.py",
-        "--scale", "unit",
-        "--graphs", "com-dblp",
-        "--out", str(out),
-    )
-    text = out.read_text()
+def test_fig11_visits(sweep_dir):
+    text = (sweep_dir / "fig11.md").read_text()
     assert "mean vertex visits" in text and "com-dblp" in text
 
 
@@ -99,7 +92,6 @@ def test_fig11_visits(tmp_path):
     [
         "local_sweep.py",
         "spark_sweep.py",
-        "fig11_vertex_visits.py",
         "spark_pipeline.py",
     ],
 )

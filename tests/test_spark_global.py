@@ -30,9 +30,6 @@ SMALL = {
 ALL = GRAPHS + list(SMALL)
 
 
-pytestmark = pytest.mark.usefixtures("few_partitions")
-
-
 @pytest.fixture(scope="module")
 def reduced(spark):
     out = {}

@@ -24,9 +24,6 @@ from repro.mce.reference import maximal_cliques_bruteforce
 from tests.conftest import CYCLE_COUNTEREXAMPLE, ignore_ids_by_definition
 
 
-pytestmark = pytest.mark.usefixtures("few_partitions")
-
-
 @pytest.mark.parametrize("name", ["ca-CondMat", "inf-road-usa"])
 def test_rmce_pipeline_matches_local(spark, name):
     e = edges_for(name, "unit")
@@ -84,10 +81,16 @@ def test_fully_reduced_skips_search(spark, monkeypatch, name):
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "baseline"])
-@pytest.mark.parametrize("edges", [[], [(3, 7)]], ids=["empty", "one-edge"])
+@pytest.mark.parametrize(
+    "edges",
+    [[], [(3, 7)], [(7, 3), (3, 7), (5, 5)]],
+    ids=["empty", "one-edge", "reversed-duplicate-and-loop"],
+)
 def test_tiny_graphs_in_pipeline(spark, edges, reduced):
     """The empty graph and a single edge; without global reduction the
-    full search path runs, on empty tables for the empty graph."""
+    full search path runs, on empty tables for the empty graph. The third
+    input is the single edge again, reversed, duplicated and with a
+    self-loop: ``edges_df`` is the only place it is normalized."""
     e = np.array(edges, dtype=np.int64).reshape(-1, 2)
     g = LocalGraph.from_edges(e)
     res = enumerate_cliques_spark(
@@ -114,11 +117,23 @@ def test_rcd_recursion_in_pipeline(spark):
     assert read_cliques(res.cliques) == truth
 
 
-@pytest.mark.parametrize("rec", RECURSIONS)
-def test_cycle_counterexample_in_pipeline(spark, rec):
+# CYCLE_COUNTEREXAMPLE with ids -5..-1 and 2³¹+5..2³¹+9: -1 is a vertex,
+# although the kernel's X rows use it as "no dominator".
+_RELABEL = {v: v - 5 if v < 5 else v + 2**31 for v in range(10)}
+CYCLE_RELABELLED = [(_RELABEL[u], _RELABEL[v]) for u, v in CYCLE_COUNTEREXAMPLE]
+
+
+@pytest.mark.parametrize(
+    "rec, edges",
+    [(rec, CYCLE_COUNTEREXAMPLE) for rec in RECURSIONS]
+    + [("pivot", CYCLE_RELABELLED)],
+    ids=[*RECURSIONS, "pivot-relabelled"],
+)
+def test_cycle_counterexample_in_pipeline(spark, rec, edges):
     """The cyclic-dominance graph through the Spark kernel's chain-sound
-    drop: exact clique set, each clique emitted once."""
-    e = np.array(CYCLE_COUNTEREXAMPLE)
+    drop: exact clique set, each clique emitted once; once more with
+    negative ids and ids above 2³¹."""
+    e = np.array(edges)
     truth = maximal_cliques_bruteforce(LocalGraph.from_edges(e))
     res = enumerate_cliques_spark(spark, edges_df(spark, e), rec, False, False, True)
     got = read_cliques(res.cliques)
