@@ -1,22 +1,27 @@
 #!/usr/bin/env python
-"""Reproduce Table 2 and Figure 8 (as tables) from one Spark session.
+"""Reproduce Table 2 and Figure 8 (as tables) from one Spark session, and
+check the whole distributed RMCE pipeline on every graph.
 
-Both are per-graph statistics of the 18 catalog analogs. Each graph's
-input edge table is materialized once, and two Spark passes read it:
+Both tables are per-graph statistics of the 18 catalog analogs. Each
+graph's input edge table is materialized once, and two Spark passes read
+it:
 
 - ``table2.md``: n, m and d_max from one aggregate over the ``groupBy``
   degrees, λ and the peel rounds from distributed batch peeling
   (``repro.gx.kcore``), next to the paper's published numbers.
-- ``fig8.md``: the distributed global reduction (``repro.core.
-  spark_global``): the fraction of vertices and edges it deletes, the
-  cliques it reports, its rounds and, for information only, the Spark
-  jobs it launched (read from its own job group; the count varies between
-  runs of the same code and is not checked).
+- ``fig8.md``: one run of the whole pipeline (``repro.core.spark_rmce``:
+  global reduction, distributed degeneracy order, ``ignoreId`` joins,
+  subproblem materialization, ``applyInPandas`` kernel). The table reads
+  its global reduction: the fraction of vertices and edges it deletes,
+  the cliques it reports, its rounds and, for information only, the Spark
+  jobs the whole pipeline launched (read from its own job group; the
+  count varies between runs of the same code and is not checked).
 
-The job computes the same statistics with the local engine and exits
-non-zero unless Spark's n, m, d_max and λ, and its residual edges,
-reported cliques and ``ReductionStats``, equal the local engine's (the
-reduction's fixpoint is unique).
+The job computes the same with the local engine and exits non-zero unless
+Spark's n, m, d_max and λ, its reduction's residual edges, reported
+cliques and ``ReductionStats`` (the reduction's fixpoint is unique), and
+the pipeline's clique set, λ and Figure 9/10 counters equal local
+RMCEdegen's, and unless the pipeline emits each clique exactly once.
 
 Usage::
 
@@ -34,11 +39,13 @@ from pyspark.sql import functions as F
 from repro.bench.harness import graph_stats_local
 from repro.bench.jobutil import emit, job_session
 from repro.core.global_reduction import global_reduce_local
-from repro.core.spark_global import global_reduce_spark, read_cliques
+from repro.core.spark_global import read_cliques
+from repro.core.spark_rmce import _COUNTERS, enumerate_cliques_spark
 from repro.graphs.catalog import GRAPH_NAMES, PAPER_TABLE2, edges_for
 from repro.gx.graph import degrees, edges_df
 from repro.gx.kcore import peel
 from repro.mce.bitgraph import LocalGraph
+from repro.mce.engine import enumerate_cliques
 
 _STATS = ("n", "m", "d_max", "degeneracy")
 
@@ -88,33 +95,35 @@ def main() -> None:
     f8 = _header(
         "## Figure 8 (as table) — global reduction ratios",
         ["Graph", "deleted vertices", "deleted edges", "cliques pre-reported",
-         "rounds", "Spark jobs"],
+         "rounds", "pipeline Spark jobs"],
     )
-    # One untimed run on a tiny graph (K4, a degree-2 vertex on one of its
-    # edges, a pendant edge) starts the session's executors and planner,
-    # so the first graph's seconds are comparable to the rest.
+    # One untimed pipeline run on a tiny graph (K4, a degree-2 vertex on one
+    # of its edges, a pendant edge; the K4 survives reduction, so the search
+    # stage runs too) starts the session's executors, planner and Python
+    # workers, so the first graph's seconds are comparable to the rest.
     warm = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4), (3, 5)]
-    r = global_reduce_spark(spark, edges_df(spark, warm))
-    r.cliques.collect()
-    r.edges.collect()
+    enumerate_cliques_spark(spark, edges_df(spark, warm)).cliques.collect()
     for name in names:
         e = edges_for(name, args.scale)
         g = LocalGraph.from_edges(e)
         local = graph_stats_local(g)
         residual, pre, st = global_reduce_local(g)
+        lres = enumerate_cliques(g)
 
         t0 = time.perf_counter()
         df = edges_df(spark, e).localCheckpoint(eager=True)
         s = graph_stats_spark(spark, df)
         t_stats = time.perf_counter() - t0
         t0 = time.perf_counter()
-        sc.setJobGroup(f"fig8-{name}", "global reduction")
-        r = global_reduce_spark(spark, df)
+        sc.setJobGroup(f"pipeline-{name}", "RMCE pipeline")
+        res = enumerate_cliques_spark(spark, df)
         sc.setLocalProperty("spark.jobGroup.id", None)
+        got = read_cliques(res.cliques)
+        jobs = _jobs_in_group(sc, f"pipeline-{name}")
+        t_pipe = time.perf_counter() - t0
+        r = res.reduction
         rows = read_cliques(r.cliques)
         edges = {(row["src"], row["dst"]) for row in r.edges.collect()}
-        jobs = _jobs_in_group(sc, f"fig8-{name}")
-        t_red = time.perf_counter() - t0
 
         diff = [k for k in _STATS if s[k] != local[k]]
         if diff:
@@ -127,6 +136,16 @@ def main() -> None:
                 f"[spark-sweep] {name}: Spark residual edges, reported cliques "
                 f"or sizes differ from the local engine's: {r.stats} vs {st}"
             )
+        pairs = {"degeneracy": (res.degeneracy, lres.degeneracy)}
+        pairs |= {f: (getattr(res, f), getattr(lres.metrics, f)) for f in _COUNTERS}
+        off = {f: ab for f, ab in pairs.items() if ab[0] != ab[1]}
+        n_rows = res.cliques.count()
+        if got != lres.cliques or n_rows != len(got) or off:
+            raise SystemExit(
+                f"[spark-sweep] {name}: the Spark pipeline's {n_rows} clique "
+                f"rows, {len(got)} cliques or (Spark, local) counters {off} "
+                f"differ from local RMCEdegen's {len(lres.cliques)} cliques"
+            )
         _, pn, pm, pdmax, plam = PAPER_TABLE2[name]
         row = [name, pn, pm, pdmax, plam, *(s[k] for k in _STATS), s["rounds"]]
         t2.append("| " + " | ".join(map(str, row)) + " |")
@@ -135,8 +154,10 @@ def main() -> None:
         f8.append("| " + " | ".join(map(str, row)) + " |")
         print(
             f"[spark-sweep] {name}: {s}, {t_stats:.1f} s; global reduction "
-            f"v={st.vertex_ratio:.1%} e={st.edge_ratio:.1%} {r.rounds} rounds, "
-            f"{jobs} jobs, {t_red:.1f} s",
+            f"v={st.vertex_ratio:.1%} e={st.edge_ratio:.1%} {r.rounds} rounds; "
+            f"pipeline {len(got)} cliques, "
+            + ", ".join(f"{f}={a}" for f, (a, _) in pairs.items())
+            + f", {jobs} jobs, {t_pipe:.1f} s",
             flush=True,
         )
     t2 += [
@@ -147,9 +168,12 @@ def main() -> None:
     f8 += [
         "",
         "Spark residual edges, reported cliques and before/after sizes equal",
-        "the local engine's on every graph above (the job exits non-zero",
-        "otherwise). The Spark jobs column is for information only: it varies",
-        "between runs of the same code and is not checked.",
+        "the local engine's on every graph above. So do the whole Spark",
+        "pipeline's clique set (each clique emitted once), λ and Figure 9/10",
+        "counters (the job exits non-zero otherwise). The pipeline Spark jobs",
+        "column counts the jobs of the whole pipeline run and is for",
+        "information only: it varies between runs of the same code and is not",
+        "checked.",
     ]
     for stem, lines in (("table2", t2), ("fig8", f8)):
         out = os.path.join(args.out_dir, f"{stem}.md") if args.out_dir else None

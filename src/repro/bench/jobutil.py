@@ -1,21 +1,63 @@
 """Helpers for spark-submit job entrypoints in jobs/.
 
 Jobs are standalone scripts, each with its own ``job_session``; the tests'
-shared ``spark`` fixture (conftest.py) is a ``job_session`` too.
+shared ``spark`` fixture (conftest.py) is a ``job_session`` too, so both
+launch the driver JVM with the same settings.
 """
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 from pyspark.sql import SparkSession
 
 
+def _driver_mem() -> str:
+    """~75% of the container's memory limit, for the Spark driver JVM.
+
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
+    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
+    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before the first
+    session of the process starts.
+
+    The cgroup read is best-effort: a container runtime's sysfs emulation
+    may not pass the host limit through. An unbounded value (cgroup-v1's
+    ~9.2e18 "unlimited" sentinel, or a missing limit) is treated as absent
+    so the JVM is never handed an impossible heap.
+    """
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    for p in (
+        "/sys/fs/cgroup/memory.max",
+        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+    ):
+        try:
+            raw = Path(p).read_text().strip()
+            if not raw or raw == "max":
+                continue
+            gib = int(raw) / (1 << 30)
+            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
+                continue
+            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
+            return f"{max(1, int(gib * 0.75))}g"
+        except (OSError, ValueError):
+            continue
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
+    return "48g"
+
+
 def job_session(app: str) -> SparkSession:
     """A local SparkSession sized for the catalog-scale graphs: the one
-    session configuration of the jobs and the tests."""
+    session configuration of the jobs and the tests.
+
+    The master is ``SPARK_MASTER`` (default ``local[*]``) and the driver
+    memory is ``_driver_mem()``; an already-set ``PYSPARK_SUBMIT_ARGS``
+    wins over both."""
+    os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
-        "--master local[*] --driver-memory 8g "
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )

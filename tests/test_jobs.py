@@ -1,11 +1,13 @@
 """Job entrypoints run end-to-end at unit scale.
 
 ``spark_sweep.py`` runs its Spark path and its exit check on two graphs in
-its own JVM. ``spark_pipeline.py`` is only started with ``--help``: its
-library path is covered by ``tests/test_spark_rmce.py``.
+its own JVM: ca-CondMat reaches the pipeline's search stage, and
+inf-road-usa is fully reduced, so the pipeline skips it. The jobs launch
+Spark through ``job_session``, whose launch settings one more JVM checks.
 """
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -77,7 +79,7 @@ def test_spark_sweep(tmp_path):
     assert "peel rounds" in t2 and "ca-CondMat" in t2
     f8 = (tmp_path / "fig8.md").read_text()
     assert f8.startswith("## Figure 8 (as table)")
-    assert "Spark jobs" in f8
+    assert "pipeline Spark jobs" in f8
     road = next(line for line in f8.splitlines() if line.startswith("| inf-road-usa"))
     assert "100.0%" in road  # road analog fully deleted
 
@@ -92,8 +94,27 @@ def test_fig11_visits(sweep_dir):
     [
         "local_sweep.py",
         "spark_sweep.py",
-        "spark_pipeline.py",
     ],
 )
 def test_job_help(job):
     _run(job, "--help")
+
+
+def test_job_session_launch_settings():
+    """``job_session`` launches the driver JVM with ``SPARK_MASTER`` and
+    ``SPARK_DRIVER_MEM`` when ``PYSPARK_SUBMIT_ARGS`` is unset."""
+    env = {
+        k: v for k, v in os.environ.items() if k != "PYSPARK_SUBMIT_ARGS"
+    } | {"SPARK_MASTER": "local[2]", "SPARK_DRIVER_MEM": "1g"}
+    code = (
+        "from repro.bench.jobutil import job_session\n"
+        "s = job_session('launch-settings')\n"
+        "print(s.sparkContext.master, s.conf.get('spark.driver.memory'))\n"
+        "s.stop()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["local[2]", "1g"]
