@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from ..graphs.catalog import GRAPH_NAMES, edges_for
-from ..mce.bitgraph import LocalGraph
+from ..mce.bitgraph import LocalGraph, degeneracy_order
 from ..mce.engine import EngineResult, algorithm_config, enumerate_cliques
 from ..mce.metrics import Metrics
 
@@ -110,8 +110,6 @@ def cliques_by_degree(g: LocalGraph, cliques: set[tuple[int, ...]]) -> dict[int,
 
 def graph_stats_local(g: LocalGraph) -> dict:
     """Table 2 statistics of ``g`` via the local substrate."""
-    from ..mce.bitgraph import degeneracy_order
-
     _, _, lam = degeneracy_order(g)
     return {
         "n": g.n,

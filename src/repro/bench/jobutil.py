@@ -16,9 +16,10 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before the first
-    session of the process starts.
+    limit > half the physical memory in whole GiB, clamped to 2–8g, as
+    the tier-1 test command computes it. spark.driver.memory is read at
+    JVM launch, not from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS
+    before the first session of the process starts.
 
     The cgroup read is best-effort: a container runtime's sysfs emulation
     may not pass the host limit through. An unbounded value (cgroup-v1's
@@ -43,7 +44,8 @@ def _driver_mem() -> str:
         except (OSError, ValueError):
             continue
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    gib = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // (2 << 30)
+    return f"{min(max(gib, 2), 8)}g"
 
 
 def job_session(app: str) -> SparkSession:

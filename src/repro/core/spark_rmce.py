@@ -47,9 +47,9 @@ from ..gx.graph import symmetrize
 from ..gx.kcore import degeneracy_order_spark
 from ..gx.triangles import triangles
 from ..mce.bitgraph import LocalGraph
-from ..mce.engine import solve_root
+from ..mce.engine import EngineResult, solve_root
 from ..mce.metrics import Metrics
-from .spark_global import SparkReductionResult, global_reduce_spark
+from .spark_global import SparkReductionResult, global_reduce_spark, read_cliques
 
 # Payload row kinds shipped to each task group.
 _ROOT, _CAND, _X, _EDGE = 0, 1, 2, 3
@@ -76,6 +76,27 @@ class SparkMCEResult:
     x_after: int
     subproblems_reduced: int
     reduction: SparkReductionResult | None = None
+
+
+def local_mismatches(res: SparkMCEResult, local: EngineResult) -> dict[str, tuple]:
+    """``{name: (spark, local)}`` for what differs between the Spark run
+    ``res`` and the local run ``local`` of one configuration: the clique
+    set, clique rows (each clique emitted once), λ, the ``_COUNTERS``, and
+    global reduction's presence, ``ReductionStats`` and reported cliques."""
+    pairs = {
+        "cliques": (read_cliques(res.cliques), local.cliques),
+        "clique rows": (res.cliques.count(), len(local.cliques)),
+        "degeneracy": (res.degeneracy, local.degeneracy),
+        **{f: (getattr(res, f), getattr(local.metrics, f)) for f in _COUNTERS},
+        "reduction": (res.reduction is not None, local.reduction_stats is not None),
+    }
+    if res.reduction is not None and local.reduction_stats is not None:
+        pairs["reduction stats"] = (res.reduction.stats, local.reduction_stats)
+        pairs["reduction cliques"] = (
+            read_cliques(res.reduction.cliques),
+            set(local.reported[: local.metrics.reduction_cliques]),
+        )
+    return {k: ab for k, ab in pairs.items() if ab[0] != ab[1]}
 
 
 def _orient(sym: DataFrame, ranks: DataFrame) -> DataFrame:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.jobutil import _driver_mem
+
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 
@@ -118,3 +120,11 @@ def test_job_session_launch_settings():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["local[2]", "1g"]
+
+
+def test_driver_mem_within_physical_memory(monkeypatch):
+    """Unset, ``SPARK_DRIVER_MEM`` defaults to at most the machine's memory."""
+    monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+    monkeypatch.delenv("_SPARK_DRIVER_MEM_SRC", raising=False)
+    gib = int(_driver_mem().removesuffix("g"))
+    assert gib << 30 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

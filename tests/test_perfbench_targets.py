@@ -1,13 +1,19 @@
 """The benchmark's traced passes patch program functions by name
-(``perfbench/localbench.py`` and ``perfbench/sparkbench.py``), so a rename
-of one of them fails here in under a second, not only in the multi-second
-``python3 -m pytest perfbench``."""
+(``perfbench/localbench.py`` and ``perfbench/sparkbench.py``) and read
+result fields by name, so a rename of one of them fails here in under a
+second, not only in the multi-second ``python3 -m pytest perfbench`` or as
+a crash of a traced benchmark run."""
 from __future__ import annotations
 
 import importlib
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from repro.core.spark_rmce import SparkMCEResult
+from repro.mce.engine import EngineResult
+from repro.mce.metrics import Metrics
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,3 +30,12 @@ def test_traced_targets_resolve(module: str, monkeypatch) -> None:
         # Also undoes the swaps a failed ``__enter__`` made before raising,
         # so no wrapper leaks into later tests.
         patch.__exit__(None, None, None)
+
+
+def test_read_fields_exist() -> None:
+    for cls, names in (
+        (SparkMCEResult, {"cliques", "subproblems", "recursive_calls"}),
+        (EngineResult, {"cliques", "reported", "metrics"}),
+        (Metrics, {"recursive_calls", "cliques", "reduction_cliques"}),
+    ):
+        assert names <= {f.name for f in fields(cls)}, cls.__name__
