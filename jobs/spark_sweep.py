@@ -13,9 +13,12 @@ it:
   global reduction, distributed degeneracy order, ``ignoreId`` joins,
   subproblem materialization, ``applyInPandas`` kernel). The table reads
   its global reduction: the fraction of vertices and edges it deletes,
-  the cliques it reports, its rounds and, for information only, the Spark
-  jobs the whole pipeline launched (read from its own job group; the
-  count varies between runs of the same code and is not checked).
+  the cliques it reports and its Spark rounds; the Spark rounds after
+  which the driver finished the reduction and the peel (``-`` if it did
+  not); and, for information only, the Spark jobs the whole pipeline
+  launched (read from its own job group; the count varies between runs of
+  the same code and is not checked). Table 2's peel stays in Spark for
+  every round.
 
 The job computes the same with the local engine and exits non-zero unless
 Spark's n, m, d_max, λ and residual edges equal the local engine's, and
@@ -38,7 +41,7 @@ from pyspark.sql import functions as F
 from repro.bench.harness import graph_stats_local
 from repro.bench.jobutil import emit, job_session
 from repro.core.global_reduction import global_reduce_local
-from repro.core.spark_rmce import enumerate_cliques_spark, local_mismatches
+from repro.core.spark_rmce import _COUNTERS, enumerate_cliques_spark, local_mismatches
 from repro.graphs.catalog import GRAPH_NAMES, PAPER_TABLE2, edges_for
 from repro.gx.graph import degrees, edges_df
 from repro.gx.kcore import peel
@@ -67,7 +70,7 @@ def graph_stats_spark(spark, df) -> dict:
         F.coalesce(F.sum("degree"), F.lit(0)),
         F.coalesce(F.max("degree"), F.lit(0)),
     ).first()
-    stamps, lam = peel(spark, df)
+    stamps, lam, _ = peel(spark, df)
     last = stamps.agg(F.max("round")).first()[0]
     return {
         "n": n, "m": deg_sum // 2, "d_max": d_max, "degeneracy": lam,
@@ -93,7 +96,8 @@ def main() -> None:
     f8 = _header(
         "## Figure 8 (as table) — global reduction ratios",
         ["Graph", "deleted vertices", "deleted edges", "cliques pre-reported",
-         "rounds", "pipeline Spark jobs"],
+         "Spark rounds", "driver after round (reduction)",
+         "driver after round (peel)", "pipeline Spark jobs"],
     )
     # One untimed pipeline run on a tiny graph (K4, a degree-2 vertex on one
     # of its edges, a pendant edge; the K4 survives reduction, so the search
@@ -145,15 +149,17 @@ def main() -> None:
         _, pn, pm, pdmax, plam = PAPER_TABLE2[name]
         row = [name, pn, pm, pdmax, plam, *(s[k] for k in _STATS), s["rounds"]]
         t2.append("| " + " | ".join(map(str, row)) + " |")
+        switch = ["-" if x is None else x for x in (r.driver_round, res.peel_driver_round)]
         row = [name, f"{st.vertex_ratio:.1%}", f"{st.edge_ratio:.1%}",
-               lres.metrics.reduction_cliques, r.rounds, jobs]
+               lres.metrics.reduction_cliques, r.rounds, *switch, jobs]
         f8.append("| " + " | ".join(map(str, row)) + " |")
         print(
             f"[spark-sweep] {name}: {s}, {t_stats:.1f} s; global reduction "
-            f"v={st.vertex_ratio:.1%} e={st.edge_ratio:.1%} {r.rounds} rounds; "
+            f"v={st.vertex_ratio:.1%} e={st.edge_ratio:.1%} {r.rounds} Spark rounds, "
+            f"driver after round {switch[0]}; peel driver after round {switch[1]}; "
             f"pipeline {len(lres.cliques)} cliques, "
-            # λ and the Figure 9/10 counters: the result's int fields.
-            + ", ".join(f"{k}={v}" for k, v in vars(res).items() if isinstance(v, int))
+            # λ and the Figure 9/10 counters.
+            + ", ".join(f"{k}={getattr(res, k)}" for k in ("degeneracy", *_COUNTERS))
             + f", {jobs} jobs, {t_pipe:.1f} s",
             flush=True,
         )

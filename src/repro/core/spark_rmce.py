@@ -30,6 +30,10 @@ same configuration grid covers BKx, RMCEx and the Table-3 variants):
    (chain-sound forbidden-set drop included), then emits clique rows plus
    one row of ``Metrics`` counters per task.
 
+Stages 1 and 2 are sequential fixpoints. Each finishes on the driver once
+the graph it has left fits ``gx.graph.driver_edge_budget``, and hands its
+result back as DataFrames; the results are the same either way.
+
 Output cliques are canonical comma-joined id strings (matching
 ``spark_global``), unioned with the reduction's pre-reported cliques. Each
 table is materialized once: the output is a select and union over the
@@ -43,7 +47,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..gx.graph import symmetrize
+from ..gx.graph import driver_edge_budget, symmetrize
 from ..gx.kcore import degeneracy_order_spark
 from ..gx.triangles import triangles
 from ..mce.bitgraph import LocalGraph
@@ -76,6 +80,9 @@ class SparkMCEResult:
     x_after: int
     subproblems_reduced: int
     reduction: SparkReductionResult | None = None
+    # The peel rounds Spark ran before the driver took over; None if it
+    # never did, or if no peel ran.
+    peel_driver_round: int | None = None
 
 
 def local_mismatches(res: SparkMCEResult, local: EngineResult) -> dict[str, tuple]:
@@ -226,9 +233,11 @@ def enumerate_cliques_spark(
     ``gx.graph.edges_df`` builds it."""
     reduction: SparkReductionResult | None = None
     pre: DataFrame | None = None
+    # Both iterative loops finish on the driver once the graph left fits.
+    budget = driver_edge_budget(spark)
     if global_reduction:
         # global_reduce_spark reads its input in one materialized pass.
-        reduction = global_reduce_spark(spark, edges)
+        reduction = global_reduce_spark(spark, edges, budget)
         if not reduction.stats.m_after:
             # Nothing left to search: the reduction's cliques are all of them.
             return SparkMCEResult(
@@ -242,7 +251,7 @@ def enumerate_cliques_spark(
     else:
         edges = edges.localCheckpoint(eager=True)
 
-    order_df, lam = degeneracy_order_spark(spark, edges)
+    order_df, lam, peel_driver_round = degeneracy_order_spark(spark, edges, budget)
     ranks = order_df.select("v", "rank")
     oriented = _orient(symmetrize(edges), ranks).localCheckpoint(eager=True)
     # Three readers (Algorithm 8's pair counts and both halves of the edge
@@ -313,5 +322,6 @@ def enumerate_cliques_spark(
         cliques=cliques,
         degeneracy=lam,
         reduction=reduction,
+        peel_driver_round=peel_driver_round,
         **{f: int(agg[f] or 0) for f in _COUNTERS},
     )

@@ -6,7 +6,9 @@ reproduction needs, DataFrame-native so Catalyst plans every step:
 - canonical edge table ``(src < dst)``, deduplicated, loop-free,
 - symmetrized view for neighborhood joins,
 - degree computation via ``groupBy``,
-- vertex deletion via anti-joins.
+- vertex deletion via anti-joins,
+- the driver round trip: the edge budget a driver-side finish may collect
+  (``driver_edge_budget``), and Arrow transfers both ways.
 
 All columns are ``long``. Vertex ids are arbitrary (not required dense).
 """
@@ -14,8 +16,20 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+
+from ..mce.bitgraph import LocalGraph
+
+# Peak driver bytes per residual edge of a driver-side finish: the Arrow
+# table, the ``LocalGraph`` adjacency sets, the local pass's working copy
+# and the table handed back. tracemalloc plus Arrow's pool read at most
+# 385 on the four largest bench analogs (global reduction; the peel 241).
+_EDGE_BYTES = 400
+# The finish may fill this fraction of ``spark.driver.memory``.
+_DRIVER_SHARE = 1 / 8
+_UNITS = {"k": 10, "m": 20, "g": 30, "t": 40, "p": 50}
 
 
 def edges_df(spark: SparkSession, edges: np.ndarray) -> DataFrame:
@@ -62,3 +76,37 @@ def remove_vertices(edges: DataFrame, drop: DataFrame) -> DataFrame:
         .select(*edges.columns)
     )
 
+
+def driver_edge_budget(spark: SparkSession) -> int:
+    """The most edges an iterative Spark loop collects to finish on the
+    driver: what ``_EDGE_BYTES`` per edge fits in ``_DRIVER_SHARE`` of
+    ``spark.driver.memory`` (Spark's default 1g when unset; a bare number
+    is MiB, as Spark reads it)."""
+    raw = spark.conf.get("spark.driver.memory", "1g").strip().lower().removesuffix("b")
+    shift = _UNITS.get(raw[-1:])
+    size = int(raw[:-1]) << shift if shift is not None else int(raw) << 20
+    return int(size * _DRIVER_SHARE) // _EDGE_BYTES
+
+
+def collect_graph(edges: DataFrame, vertices: DataFrame | None = None) -> LocalGraph:
+    """The canonical edge table ``edges`` as a driver ``LocalGraph``,
+    collected through Arrow; ``vertices`` (a ``(v)`` table) adds vertices
+    that have no edge left."""
+    adj: dict[int, set[int]] = {}
+    if vertices is not None:
+        adj = {v: set() for v in vertices.select("v").toArrow()["v"].to_pylist()}
+    t = edges.select("src", "dst").toArrow()
+    for u, w in zip(t["src"].to_pylist(), t["dst"].to_pylist()):
+        adj.setdefault(u, set()).add(w)
+        adj.setdefault(w, set()).add(u)
+    return LocalGraph(adj)
+
+
+def arrow_df(spark: SparkSession, **columns: pa.Array) -> DataFrame:
+    """Hand driver columns back to Spark as one DataFrame.
+
+    ``createDataFrame`` of a ``pyarrow.Table`` takes the Arrow path whether
+    or not ``spark.sql.execution.arrow.pyspark.enabled`` is set; a pandas
+    frame without that setting goes through a Python RDD, whose first read
+    costs hundreds of milliseconds more."""
+    return spark.createDataFrame(pa.table(columns))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.spark_global import SparkReductionResult
 from repro.core.spark_rmce import SparkMCEResult
 from repro.mce.engine import EngineResult
 from repro.mce.metrics import Metrics
@@ -35,6 +36,7 @@ def test_traced_targets_resolve(module: str, monkeypatch) -> None:
 def test_read_fields_exist() -> None:
     for cls, names in (
         (SparkMCEResult, {"cliques", "subproblems", "recursive_calls"}),
+        (SparkReductionResult, {"rounds"}),
         (EngineResult, {"cliques", "reported", "metrics"}),
         (Metrics, {"recursive_calls", "cliques", "reduction_cliques"}),
     ):

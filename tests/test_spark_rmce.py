@@ -54,6 +54,13 @@ CYCLES["pivot-relabelled"] = (
     [(_RELABEL[u], _RELABEL[v]) for u, v in CYCLE_COUNTEREXAMPLE], "pivot", (False, False, True)
 )
 CASES = UNIT | TINY | CYCLES
+# Cases run once more with a budget per loop (global reduction, peel): one
+# edge below the input, and one edge below the residual, so the peel
+# switches to the driver after at least one Spark round. Each maps to the
+# round at which the reduction switches: after Lemma 4 on ca-CondMat and
+# email-EuAll. On sc-delaunay_n23 Lemma 4 deletes no edge and the first
+# batch reaches H*, so the reduction has no later point to switch at.
+PARTWAY = {"ca-CondMat": 1, "email-EuAll": 1, "sc-delaunay_n23": None}
 
 
 def _no_search(*_args):
@@ -62,16 +69,26 @@ def _no_search(*_args):
 
 @pytest.fixture(scope="module")
 def pipeline(spark):
-    """``pipeline(case)`` is ``(res, local, g)``: the case's Spark and local
-    results and its graph, each run once."""
+    """``pipeline(case, budgets)`` is ``(res, local, g)``: the case's Spark
+    and local results and its graph, each run once. ``budgets`` is
+    ``None`` for ``driver_edge_budget``'s own, or the ``(global reduction,
+    peel)`` budgets the run uses instead; ``(0, 0)`` keeps both loops in
+    Spark."""
 
     @functools.cache
-    def run(case):
+    def run(case, budgets=None):
         edges, rec, toggles = CASES[case]
         e = edges_for(edges, "unit") if isinstance(edges, str) else edges
         with pytest.MonkeyPatch.context() as mp:
             if case in FULLY_REDUCED:
                 mp.setattr("repro.core.spark_rmce.degeneracy_order_spark", _no_search)
+            elif budgets is not None:
+                mp.setattr(
+                    "repro.core.spark_rmce.degeneracy_order_spark",
+                    lambda spark, edges, _: degeneracy_order_spark(spark, edges, budgets[1]),
+                )
+            if budgets is not None:
+                mp.setattr("repro.core.spark_rmce.driver_edge_budget", lambda _: budgets[0])
             res = enumerate_cliques_spark(spark, edges_df(spark, e), rec, *toggles)
         g = LocalGraph.from_edges(e)
         return res, enumerate_cliques(g, rec, *toggles), g
@@ -109,6 +126,41 @@ def test_every_residual_vertex_is_a_subproblem(pipeline, case):
     assert (res.subproblems, res.x_before) == (n, m)
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_distributed_loops_match_local(pipeline, case):
+    """Budget 0: both loops run every round in Spark, as Table 2's peel
+    does, and the result is the same as the driver's."""
+    res, local, g = pipeline(case, (0, 0))
+    _assert_matches(res, local, g)
+    assert res.peel_driver_round is None
+    assert res.reduction is None or res.reduction.driver_round is None
+    r = res.reduction
+    n, m = (r.stats.n_after, r.stats.m_after) if r else (g.n, g.m)
+    assert (res.subproblems, res.x_before) == (n, m)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_driver_finishes_small_graphs(pipeline, case):
+    """At its default budget every test graph fits: each loop that runs
+    hands over to the driver before its first Spark round."""
+    res, _, g = pipeline(case)
+    r = res.reduction
+    if r is not None:
+        assert (r.driver_round, r.rounds) == (0, 0)
+    searched = r.stats.m_after if r else g.m
+    assert res.peel_driver_round == (0 if searched else None)
+
+
+@pytest.mark.parametrize("case", PARTWAY)
+def test_partway_switch_matches_local(pipeline, case):
+    _, local, g = pipeline(case)
+    budgets = (g.m - 1, local.reduction_stats.m_after - 1)
+    res, local, g = pipeline(case, budgets)
+    _assert_matches(res, local, g)
+    assert res.reduction.driver_round == PARTWAY[case]
+    assert res.peel_driver_round >= 1
+
+
 @pytest.mark.parametrize("case", FULLY_REDUCED)
 def test_fully_reduced_skips_search(pipeline, case):
     assert pipeline(case)[0].reduction.stats.m_after == 0
@@ -141,7 +193,7 @@ def test_ignore_table_matches_local(spark):
     evaluated on the identical (distributed) degeneracy order."""
     for e in (edges_for("ca-CondMat", "unit"), CYCLE_COUNTEREXAMPLE):
         df = edges_df(spark, e).localCheckpoint(eager=True)
-        order_df, _ = degeneracy_order_spark(spark, df)
+        order_df, _, _ = degeneracy_order_spark(spark, df)
         ranks = order_df.select("v", "rank")
         rank = {r["v"]: r["rank"] for r in ranks.collect()}
         order = [v for v, _ in sorted(rank.items(), key=lambda kv: kv[1])]
