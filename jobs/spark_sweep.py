@@ -3,27 +3,26 @@
 check the whole distributed RMCE pipeline on every graph.
 
 Both tables are per-graph statistics of the 18 catalog analogs. Each
-graph's input edge table is materialized once, and two Spark passes read
-it:
+graph's input edge table is materialized once, and three Spark passes
+read it:
 
 - ``table2.md``: n, m and d_max from one aggregate over the ``groupBy``
   degrees, λ and the peel rounds from distributed batch peeling
   (``repro.gx.kcore``), next to the paper's published numbers.
-- ``fig8.md``: one run of the whole pipeline (``repro.core.spark_rmce``:
-  global reduction, distributed degeneracy order, ``ignoreId`` joins,
-  subproblem materialization, ``applyInPandas`` kernel). The table reads
-  its global reduction: the fraction of vertices and edges it deletes,
-  the cliques it reports and its Spark rounds; the Spark rounds after
-  which the driver finished the reduction and the peel (``-`` if it did
-  not); and, for information only, the Spark jobs the whole pipeline
-  launched (read from its own job group; the count varies between runs of
-  the same code and is not checked). Table 2's peel stays in Spark for
-  every round.
+- ``fig8.md``: distributed global reduction (``repro.core.spark_global``):
+  the fraction of vertices and edges it deletes, the cliques it reports
+  and its rounds; and, for information only, the Spark jobs of one run of
+  the whole pipeline (``repro.core.spark_rmce``; read from its own job
+  group; the count varies between runs of the same code and is not
+  checked). The pipeline reduces and orders on the driver any graph that
+  fits its driver budget, so both Spark loops run here on their own, every
+  round in Spark.
 
 The job computes the same with the local engine and exits non-zero unless
-Spark's n, m, d_max, λ and residual edges equal the local engine's, and
-unless ``local_mismatches`` finds no difference between the pipeline and
-local RMCEdegen (the reduction's fixpoint is unique).
+Spark's n, m, d_max, λ, residual edges, reported cliques and sizes equal
+the local engine's, and unless ``local_mismatches`` finds no difference
+between the pipeline and local RMCEdegen (the reduction's fixpoint is
+unique).
 
 Usage::
 
@@ -41,6 +40,7 @@ from pyspark.sql import functions as F
 from repro.bench.harness import graph_stats_local
 from repro.bench.jobutil import emit, job_session
 from repro.core.global_reduction import global_reduce_local
+from repro.core.spark_global import global_reduce_spark, read_cliques
 from repro.core.spark_rmce import _COUNTERS, enumerate_cliques_spark, local_mismatches
 from repro.graphs.catalog import GRAPH_NAMES, PAPER_TABLE2, edges_for
 from repro.gx.graph import degrees, edges_df
@@ -70,7 +70,7 @@ def graph_stats_spark(spark, df) -> dict:
         F.coalesce(F.sum("degree"), F.lit(0)),
         F.coalesce(F.max("degree"), F.lit(0)),
     ).first()
-    stamps, lam, _ = peel(spark, df)
+    stamps, lam = peel(spark, df)
     last = stamps.agg(F.max("round")).first()[0]
     return {
         "n": n, "m": deg_sum // 2, "d_max": d_max, "degeneracy": lam,
@@ -96,8 +96,7 @@ def main() -> None:
     f8 = _header(
         "## Figure 8 (as table) — global reduction ratios",
         ["Graph", "deleted vertices", "deleted edges", "cliques pre-reported",
-         "Spark rounds", "driver after round (reduction)",
-         "driver after round (peel)", "pipeline Spark jobs"],
+         "Spark rounds", "pipeline Spark jobs"],
     )
     # One untimed pipeline run on a tiny graph (K4, a degree-2 vertex on one
     # of its edges, a pendant edge; the K4 survives reduction, so the search
@@ -109,14 +108,13 @@ def main() -> None:
         e = edges_for(name, args.scale)
         g = LocalGraph.from_edges(e)
         local = graph_stats_local(g)
-        # The local engine's result carries no residual: this is for the
-        # residual-edge check alone.
-        residual = set(global_reduce_local(g)[0].edges())
+        reduced, reported, stats = global_reduce_local(g)
         lres = enumerate_cliques(g)
 
         t0 = time.perf_counter()
         df = edges_df(spark, e).localCheckpoint(eager=True)
         s = graph_stats_spark(spark, df)
+        r = global_reduce_spark(spark, df)
         t_stats = time.perf_counter() - t0
         t0 = time.perf_counter()
         sc.setJobGroup(f"pipeline-{name}", "RMCE pipeline")
@@ -125,7 +123,6 @@ def main() -> None:
         off = local_mismatches(res, lres)
         jobs = _jobs_in_group(sc, f"pipeline-{name}")
         t_pipe = time.perf_counter() - t0
-        r = res.reduction
 
         diff = [k for k in _STATS if s[k] != local[k]]
         if diff:
@@ -133,10 +130,14 @@ def main() -> None:
                 f"[spark-sweep] {name}: Spark {diff} differ from the local "
                 f"engine's: {s} vs {local}"
             )
-        if {(row["src"], row["dst"]) for row in r.edges.collect()} != residual:
+        if (
+            {(row["src"], row["dst"]) for row in r.edges.collect()} != set(reduced.edges())
+            or read_cliques(r.cliques) != set(reported)
+            or r.stats != stats
+        ):
             raise SystemExit(
-                f"[spark-sweep] {name}: Spark's residual edges differ from the "
-                "local engine's"
+                f"[spark-sweep] {name}: Spark's global reduction differs from "
+                "the local engine's"
             )
         if off:
             shown = {k: tuple(len(x) if isinstance(x, set) else x for x in ab)
@@ -149,14 +150,12 @@ def main() -> None:
         _, pn, pm, pdmax, plam = PAPER_TABLE2[name]
         row = [name, pn, pm, pdmax, plam, *(s[k] for k in _STATS), s["rounds"]]
         t2.append("| " + " | ".join(map(str, row)) + " |")
-        switch = ["-" if x is None else x for x in (r.driver_round, res.peel_driver_round)]
         row = [name, f"{st.vertex_ratio:.1%}", f"{st.edge_ratio:.1%}",
-               lres.metrics.reduction_cliques, r.rounds, *switch, jobs]
+               lres.metrics.reduction_cliques, r.rounds, jobs]
         f8.append("| " + " | ".join(map(str, row)) + " |")
         print(
             f"[spark-sweep] {name}: {s}, {t_stats:.1f} s; global reduction "
-            f"v={st.vertex_ratio:.1%} e={st.edge_ratio:.1%} {r.rounds} Spark rounds, "
-            f"driver after round {switch[0]}; peel driver after round {switch[1]}; "
+            f"v={st.vertex_ratio:.1%} e={st.edge_ratio:.1%} {r.rounds} Spark rounds; "
             f"pipeline {len(lres.cliques)} cliques, "
             # λ and the Figure 9/10 counters.
             + ", ".join(f"{k}={getattr(res, k)}" for k in ("degeneracy", *_COUNTERS))

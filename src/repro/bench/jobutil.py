@@ -6,9 +6,14 @@ launch the driver JVM with the same settings.
 """
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
+import tempfile
+import zipfile
 from pathlib import Path
 
+from pyspark import SparkContext
 from pyspark.sql import SparkSession
 
 
@@ -48,13 +53,31 @@ def _driver_mem() -> str:
     return f"{min(max(gib, 2), 8)}g"
 
 
+def _ship_package(sc: SparkContext) -> None:
+    """Zip the ``repro`` package and add it to the executors' Python path.
+
+    An executor that runs in its own JVM (``local-cluster``, a cluster
+    master) starts its Python workers in its own working directory, where
+    the driver's ``PYTHONPATH`` does not lead to ``repro``. The zip stays
+    on disk until the driver exits: the executors fetch it from there."""
+    pkg = Path(__file__).resolve().parent.parent
+    tmp = tempfile.mkdtemp(prefix="repro-pyfiles-")
+    atexit.register(shutil.rmtree, tmp, True)
+    out = os.path.join(tmp, "repro.zip")
+    with zipfile.ZipFile(out, "w") as z:
+        for f in sorted(pkg.rglob("*.py")):
+            z.write(f, f.relative_to(pkg.parent))
+    sc.addPyFile(out)
+
+
 def job_session(app: str) -> SparkSession:
     """A local SparkSession sized for the catalog-scale graphs: the one
     session configuration of the jobs and the tests.
 
     The master is ``SPARK_MASTER`` (default ``local[*]``) and the driver
     memory is ``_driver_mem()``; an already-set ``PYSPARK_SUBMIT_ARGS``
-    wins over both."""
+    wins over both. A session that starts a new context ships ``repro`` to
+    its executors."""
     os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
@@ -63,6 +86,7 @@ def job_session(app: str) -> SparkSession:
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
+    fresh = SparkContext._active_spark_context is None
     s = (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "8")
@@ -73,6 +97,8 @@ def job_session(app: str) -> SparkSession:
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")
+    if fresh:
+        _ship_package(s.sparkContext)
     return s
 
 

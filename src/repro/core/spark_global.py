@@ -62,22 +62,25 @@ leaves are materialized once; its clique rows, deletions and subtractions
 read the firing checkpoint, and one aggregate counts the new residual. A
 degree-2 vertex always fires, so a batch needs no count of its own.
 
+Every round runs in Spark. ``core.spark_rmce`` decides once, before this
+loop would start, whether it runs at all: an input that fits
+``gx.graph.driver_edge_budget`` is reduced on the driver by
+``global_reduce_local``, which ends at the same H* with the same reports.
+
 Degree-0 vertices vanish implicitly (edge-table representation; Lemma 1
 reports nothing). Cliques are emitted as canonical comma-joined id strings.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
-import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..gx.graph import arrow_df, collect_graph, remove_vertices, symmetrize
+from ..gx.graph import remove_vertices, symmetrize
 from ..gx.triangles import edge_support
-from .global_reduction import ReductionStats, global_reduce_local
+from .global_reduction import ReductionStats
 
 
 def _clique2(a, b):
@@ -101,9 +104,7 @@ class SparkReductionResult:
     edges: DataFrame  # surviving canonical edges
     cliques: DataFrame  # (clique: string) reported by the reduction
     stats: ReductionStats
-    rounds: int  # rounds run in Spark
-    # The rounds Spark had run when the driver took over; None if it never did.
-    driver_round: int | None = None
+    rounds: int
 
 
 def _firings(edges: DataFrame) -> DataFrame:
@@ -153,45 +154,9 @@ def _sizes(table: DataFrame) -> tuple[int, int, int, int, int]:
     return n_all, deg_all // 2, n, deg_sum // 2, n2
 
 
-def _on_driver(
-    spark: SparkSession, edges: DataFrame, rounds: int,
-    clique_parts: Iterable[DataFrame] = (), before: tuple[int, int] | None = None,
-) -> SparkReductionResult:
-    """Finish the reduction of ``edges`` with ``global_reduce_local``,
-    after ``rounds`` Spark rounds that reported ``clique_parts`` and read
-    ``before`` = (vertices, edges) of the input."""
-    reduced, reported, stats = global_reduce_local(collect_graph(edges))
-    if before is not None:
-        stats = replace(stats, n_before=before[0], m_before=before[1])
-    kept = reduced.edges()
-    cliques = arrow_df(
-        spark, clique=pa.array([",".join(map(str, c)) for c in reported], pa.string())
-    )
-    return SparkReductionResult(
-        edges=arrow_df(
-            spark,
-            src=pa.array([u for u, _ in kept], pa.int64()),
-            dst=pa.array([w for _, w in kept], pa.int64()),
-        ),
-        cliques=reduce(DataFrame.union, clique_parts, cliques),
-        stats=stats,
-        rounds=rounds,
-        driver_round=rounds,
-    )
-
-
-def global_reduce_spark(
-    spark: SparkSession, edges: DataFrame, budget: int = 0
-) -> SparkReductionResult:
+def global_reduce_spark(spark: SparkSession, edges: DataFrame) -> SparkReductionResult:
     """Run global reduction to its fixpoint H*. Returns surviving edges +
-    cliques; round 1 is Lemma 4 plus the first degree-2 batch.
-
-    With a ``budget`` (``gx.graph.driver_edge_budget``), the driver
-    finishes the reduction as soon as the graph left has at most that many
-    edges: before Lemma 4, and before each degree-2 batch. H* and the
-    reported set are unique, so the result is the same."""
-    if budget and edges.count() <= budget:
-        return _on_driver(spark, edges, 0)
+    cliques; round 1 is Lemma 4 plus the first degree-2 batch."""
     # Only the support pass reads the input, so the input is not
     # materialized on its own.
     table = edge_support(edges).localCheckpoint(eager=True)
@@ -206,9 +171,6 @@ def global_reduce_spark(
     # localCheckpoint after every batch: stacking batches on raw lineage
     # would grow the logical plan with every round.
     while n2:
-        if m <= budget:
-            # Round 1's Lemma 4 pass ran in Spark, so it counts as a round.
-            return _on_driver(spark, edges, max(rounds, 1), clique_parts, (n0, m0))
         fire = _firings(edges).localCheckpoint(eager=True)
         clique_parts.append(
             fire.select(

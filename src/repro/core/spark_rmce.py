@@ -3,11 +3,13 @@
 Stages (each optional piece toggles exactly like the local engine, so the
 same configuration grid covers BKx, RMCEx and the Table-3 variants):
 
-1. **Global reduction** (``spark_global``): batch Lemmas 1-4 to fixpoint;
-   emits pre-reported cliques. Stages 2–6 run only when it leaves an edge:
-   on an empty residual graph its cliques are the whole answer, and the
-   search counters and degeneracy are 0, as the full path would compute.
-2. **Degeneracy order** (``gx.kcore``): distributed batch peeling.
+1. **Global reduction** (``spark_global``, or the driver's
+   ``global_reduce_local``): Lemmas 1-4 to fixpoint; emits pre-reported
+   cliques. Stages 2–6 run only when it leaves an edge: on an empty
+   residual graph its cliques are the whole answer, and the search
+   counters and degeneracy are 0, as the full path would compute.
+2. **Degeneracy order** (``gx.kcore``, or the driver's
+   ``mce.bitgraph.degeneracy_order``).
 3. **Oriented triangles** (``gx.triangles.triangles`` over the rank
    orientation): each triangle once as ``(task, a, b)`` with
    rank(task) < rank(a) < rank(b).
@@ -30,9 +32,13 @@ same configuration grid covers BKx, RMCEx and the Table-3 variants):
    (chain-sound forbidden-set drop included), then emits clique rows plus
    one row of ``Metrics`` counters per task.
 
-Stages 1 and 2 are sequential fixpoints. Each finishes on the driver once
-the graph it has left fits ``gx.graph.driver_edge_budget``, and hands its
-result back as DataFrames; the results are the same either way.
+Stages 1 and 2 are whole-graph passes. The graph goes to the driver at
+most once, at a stage boundary, if it fits ``gx.graph.driver_edge_budget``:
+an input that fits is collected and both stages run on it there; else
+stage 1 runs in Spark, and its residual is collected if it fits. The
+driver hands its results back through Arrow. H* and the reported set are
+unique, and the peel's ``(round, id)`` order is the driver's, so every
+path gives the same result.
 
 Output cliques are canonical comma-joined id strings (matching
 ``spark_global``), unioned with the reduction's pre-reported cliques. Each
@@ -43,16 +49,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..gx.graph import driver_edge_budget, symmetrize
+from ..gx.graph import arrow_df, collect_graph, driver_edge_budget, symmetrize
 from ..gx.kcore import degeneracy_order_spark
 from ..gx.triangles import triangles
-from ..mce.bitgraph import LocalGraph
+from ..mce.bitgraph import LocalGraph, degeneracy_order
 from ..mce.engine import EngineResult, solve_root
 from ..mce.metrics import Metrics
+from .global_reduction import global_reduce_local
 from .spark_global import SparkReductionResult, global_reduce_spark, read_cliques
 
 # Payload row kinds shipped to each task group.
@@ -80,9 +88,6 @@ class SparkMCEResult:
     x_after: int
     subproblems_reduced: int
     reduction: SparkReductionResult | None = None
-    # The peel rounds Spark ran before the driver took over; None if it
-    # never did, or if no peel ran.
-    peel_driver_round: int | None = None
 
 
 def local_mismatches(res: SparkMCEResult, local: EngineResult) -> dict[str, tuple]:
@@ -233,11 +238,31 @@ def enumerate_cliques_spark(
     ``gx.graph.edges_df`` builds it."""
     reduction: SparkReductionResult | None = None
     pre: DataFrame | None = None
-    # Both iterative loops finish on the driver once the graph left fits.
+    # The one hand-off to the driver: the input, if it fits (never at
+    # budget 0, which keeps both loops in Spark).
     budget = driver_edge_budget(spark)
-    if global_reduction:
+    g = collect_graph(edges) if budget and edges.count() <= budget else None
+    if not global_reduction:
+        edges = edges.localCheckpoint(eager=True)
+    elif g is None:
         # global_reduce_spark reads its input in one materialized pass.
-        reduction = global_reduce_spark(spark, edges, budget)
+        reduction = global_reduce_spark(spark, edges)
+    else:
+        g, reported, stats = global_reduce_local(g)
+        kept = g.edges()
+        reduction = SparkReductionResult(
+            edges=arrow_df(
+                spark,
+                src=pa.array([u for u, _ in kept], pa.int64()),
+                dst=pa.array([w for _, w in kept], pa.int64()),
+            ),
+            cliques=arrow_df(
+                spark, clique=pa.array([",".join(map(str, c)) for c in reported], pa.string())
+            ),
+            stats=stats,
+            rounds=0,
+        )
+    if reduction is not None:
         if not reduction.stats.m_after:
             # Nothing left to search: the reduction's cliques are all of them.
             return SparkMCEResult(
@@ -246,13 +271,20 @@ def enumerate_cliques_spark(
                 reduction=reduction,
                 **dict.fromkeys(_COUNTERS, 0),
             )
-        edges = reduction.edges
-        pre = reduction.cliques
-    else:
-        edges = edges.localCheckpoint(eager=True)
+        edges, pre = reduction.edges, reduction.cliques
+        # Else the residual, if it fits.
+        if g is None and reduction.stats.m_after <= budget:
+            g = collect_graph(edges)
 
-    order_df, lam, peel_driver_round = degeneracy_order_spark(spark, edges, budget)
-    ranks = order_df.select("v", "rank")
+    if g is None:
+        order_df, lam = degeneracy_order_spark(spark, edges)
+        ranks = order_df.select("v", "rank")
+    else:
+        # The peel's (round, id) order: a vertex's rank is its position.
+        order, _, lam = degeneracy_order(g)
+        ranks = arrow_df(
+            spark, v=pa.array(order, pa.int64()), rank=pa.array(range(len(order)), pa.int64())
+        )
     oriented = _orient(symmetrize(edges), ranks).localCheckpoint(eager=True)
     # Three readers (Algorithm 8's pair counts and both halves of the edge
     # rows): materialized once, so the listing's joins run once.
@@ -322,6 +354,5 @@ def enumerate_cliques_spark(
         cliques=cliques,
         degeneracy=lam,
         reduction=reduction,
-        peel_driver_round=peel_driver_round,
         **{f: int(agg[f] or 0) for f in _COUNTERS},
     )

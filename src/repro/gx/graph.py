@@ -7,7 +7,7 @@ reproduction needs, DataFrame-native so Catalyst plans every step:
 - symmetrized view for neighborhood joins,
 - degree computation via ``groupBy``,
 - vertex deletion via anti-joins,
-- the driver round trip: the edge budget a driver-side finish may collect
+- the driver hand-off: the most edges the pipeline collects to the driver
   (``driver_edge_budget``), and Arrow transfers both ways.
 
 All columns are ``long``. Vertex ids are arbitrary (not required dense).
@@ -22,12 +22,12 @@ from pyspark.sql import functions as F
 
 from ..mce.bitgraph import LocalGraph
 
-# Peak driver bytes per residual edge of a driver-side finish: the Arrow
+# Peak driver bytes per collected edge of the driver hand-off: the Arrow
 # table, the ``LocalGraph`` adjacency sets, the local pass's working copy
 # and the table handed back. tracemalloc plus Arrow's pool read at most
 # 385 on the four largest bench analogs (global reduction; the peel 241).
 _EDGE_BYTES = 400
-# The finish may fill this fraction of ``spark.driver.memory``.
+# The hand-off may fill this fraction of ``spark.driver.memory``.
 _DRIVER_SHARE = 1 / 8
 _UNITS = {"k": 10, "m": 20, "g": 30, "t": 40, "p": 50}
 
@@ -78,8 +78,8 @@ def remove_vertices(edges: DataFrame, drop: DataFrame) -> DataFrame:
 
 
 def driver_edge_budget(spark: SparkSession) -> int:
-    """The most edges an iterative Spark loop collects to finish on the
-    driver: what ``_EDGE_BYTES`` per edge fits in ``_DRIVER_SHARE`` of
+    """The most edges the pipeline collects to run a stage on the driver:
+    what ``_EDGE_BYTES`` per edge fits in ``_DRIVER_SHARE`` of
     ``spark.driver.memory`` (Spark's default 1g when unset; a bare number
     is MiB, as Spark reads it)."""
     raw = spark.conf.get("spark.driver.memory", "1g").strip().lower().removesuffix("b")
@@ -88,13 +88,10 @@ def driver_edge_budget(spark: SparkSession) -> int:
     return int(size * _DRIVER_SHARE) // _EDGE_BYTES
 
 
-def collect_graph(edges: DataFrame, vertices: DataFrame | None = None) -> LocalGraph:
+def collect_graph(edges: DataFrame) -> LocalGraph:
     """The canonical edge table ``edges`` as a driver ``LocalGraph``,
-    collected through Arrow; ``vertices`` (a ``(v)`` table) adds vertices
-    that have no edge left."""
+    collected through Arrow."""
     adj: dict[int, set[int]] = {}
-    if vertices is not None:
-        adj = {v: set() for v in vertices.select("v").toArrow()["v"].to_pylist()}
     t = edges.select("src", "dst").toArrow()
     for u, w in zip(t["src"].to_pylist(), t["dst"].to_pylist()):
         adj.setdefault(u, set()).add(w)

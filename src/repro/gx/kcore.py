@@ -12,21 +12,21 @@ degree ≤ k per round, with k = max(k, minimum residual degree):
     at removal is the vertex's core number.
 
 The local engine's ``mce.bitgraph.degeneracy_order`` computes the same
-order, so both engines solve the same subproblems in the same ranks. Each
-round ``localCheckpoint``s the residual edge and degree tables to truncate
-their lineage (standard iterative-Spark hygiene).
+order, so both engines solve the same subproblems in the same ranks; on a
+graph that fits ``gx.graph.driver_edge_budget``, ``core.spark_rmce`` calls
+it instead of this peel. Every round runs in Spark and
+``localCheckpoint``s the residual edge and degree tables to truncate their
+lineage (standard iterative-Spark hygiene).
 """
 from __future__ import annotations
 
 from functools import reduce
 
-import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..mce.bitgraph import degeneracy_order
-from .graph import arrow_df, collect_graph, degrees, remove_vertices
+from .graph import degrees, remove_vertices
 
 _STAMP_SCHEMA = T.StructType(
     [
@@ -37,43 +37,13 @@ _STAMP_SCHEMA = T.StructType(
 )
 
 
-def _peel_on_driver(
-    spark: SparkSession, edges: DataFrame, deg: DataFrame, k: int, first: int
-) -> tuple[DataFrame, int]:
-    """Finish the peel on the driver from the top of round ``first``: the
-    residual ``edges`` and degree table ``deg`` (which keeps the vertices
-    whose last edge is gone) go through ``degeneracy_order`` resumed at
-    ``k``. Returns the driver's stamps and λ."""
-    ends: list[int] = []
-    order, core, lam = degeneracy_order(collect_graph(edges, deg), k, ends)
-    rounds, start = [], 0
-    for r, end in enumerate(ends, first):
-        rounds += [r] * (end - start)
-        start = end
-    stamps = arrow_df(
-        spark,
-        v=pa.array(order, pa.int64()),
-        core=pa.array([core[v] for v in order], pa.int64()),
-        round=pa.array(rounds, pa.int64()),
-    )
-    return stamps, lam
-
-
-def peel(
-    spark: SparkSession, edges: DataFrame, budget: int = 0
-) -> tuple[DataFrame, int, int | None]:
-    """Batch-peel ``edges``; returns ``(stamps, degeneracy, driver_round)``.
+def peel(spark: SparkSession, edges: DataFrame) -> tuple[DataFrame, int]:
+    """Batch-peel ``edges``; returns ``(stamps, degeneracy)``.
 
     ``stamps`` has one row per vertex: ``(v, core, round)`` where ``core``
     is the k-core number and ``round`` the global removal round. Isolated
     vertices never appear in the edge table and so are absent (they play no
     role in MCE under the ≥2-clique convention).
-
-    With a ``budget`` (``gx.graph.driver_edge_budget``), the driver
-    finishes the peel once the residual has at most that many edges, at
-    the top of a round; ``driver_round`` is the number of rounds Spark ran
-    before that, ``None`` if the driver never took over. The batch order
-    is fixed, so stamps and λ are the same.
 
     ``edges`` is read as given: round 0 reads it twice (its degree table
     and its first residual), so callers pass a materialized table.
@@ -84,13 +54,9 @@ def peel(
     deg = degrees(cur).localCheckpoint(eager=True)
     stamp_batches: list[DataFrame] = []
     k = 0
-    n, dmin, dsum = deg.agg(F.count("*"), F.min("degree"), F.sum("degree")).first()
+    n, dmin = deg.agg(F.count("*"), F.min("degree")).first()
     while n > 0:
         k = max(k, dmin)
-        if budget and dsum // 2 <= budget:
-            driver_round = len(stamp_batches)
-            stamps, k = _peel_on_driver(spark, cur, deg, k, driver_round)
-            return reduce(DataFrame.union, stamp_batches, stamps), k, driver_round
         low = deg.where(F.col("degree") <= k).select("v")
         stamp_batches.append(
             low.select(
@@ -107,12 +73,12 @@ def peel(
             .select("v", F.coalesce("degree", F.lit(0)).alias("degree"))
             .localCheckpoint(eager=True)
         )
-        n, dmin, dsum = deg.agg(F.count("*"), F.min("degree"), F.sum("degree")).first()
+        n, dmin = deg.agg(F.count("*"), F.min("degree")).first()
     # Each batch filters the degree checkpoint of its round: the union is
     # not materialized again.
     if not stamp_batches:
-        return spark.createDataFrame([], _STAMP_SCHEMA), k, None
-    return reduce(DataFrame.union, stamp_batches), k, None
+        return spark.createDataFrame([], _STAMP_SCHEMA), k
+    return reduce(DataFrame.union, stamp_batches), k
 
 
 def degeneracy_order_df(stamps: DataFrame) -> DataFrame:
@@ -130,9 +96,8 @@ def degeneracy_order_df(stamps: DataFrame) -> DataFrame:
 
 
 def degeneracy_order_spark(
-    spark: SparkSession, edges: DataFrame, budget: int = 0
-) -> tuple[DataFrame, int, int | None]:
-    """Convenience: peel + rank. Returns ``(order_df, degeneracy,
-    driver_round)``, as ``peel`` does."""
-    stamps, lam, driver_round = peel(spark, edges, budget)
-    return degeneracy_order_df(stamps), lam, driver_round
+    spark: SparkSession, edges: DataFrame
+) -> tuple[DataFrame, int]:
+    """Convenience: peel + rank. Returns ``(order_df, degeneracy)``."""
+    stamps, lam = peel(spark, edges)
+    return degeneracy_order_df(stamps), lam

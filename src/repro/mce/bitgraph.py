@@ -47,9 +47,7 @@ class LocalGraph:
         return [(u, v) for u, nb in self.adj.items() for v in nb if u < v]
 
 
-def degeneracy_order(
-    g: LocalGraph, k: int = 0, ends: list[int] | None = None
-) -> tuple[list[int], dict[int, int], int]:
+def degeneracy_order(g: LocalGraph) -> tuple[list[int], dict[int, int], int]:
     """Batch min-degree peeling, the order ``gx.kcore`` computes in Spark.
 
     Returns ``(order, core_number, degeneracy)``. Each round removes every
@@ -60,17 +58,13 @@ def degeneracy_order(
     neighbours), and a vertex's core number is the k at which it is removed.
     Each edge is touched once, each round is sorted, and each value of k
     costs one scan of the residual degrees.
-
-    ``k`` resumes a peel: ``g`` is the residual graph at the top of a round
-    with that k (``gx.kcore.peel`` hands over this way), so the first
-    round removes every vertex of degree ≤ k. ``ends``, if given, receives
-    each round's end offset in ``order``.
     """
     adj = g.adj
     deg = {v: len(nb) for v, nb in adj.items()}
     order: list[int] = []
     core: dict[int, int] = {}
-    batch = [v for v, d in deg.items() if d <= k] if k else []
+    k = 0
+    batch: list[int] = []
     while deg:
         if not batch:
             k = min(deg.values())
@@ -80,8 +74,6 @@ def degeneracy_order(
             del deg[v]  # the whole round leaves before any degree drops
             core[v] = k
         order += batch
-        if ends is not None:
-            ends.append(len(order))
         nxt = []
         for v in batch:
             for u in adj[v]:

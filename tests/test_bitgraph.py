@@ -186,25 +186,3 @@ def test_degeneracy_tie_break_relabelled(name, kind):
 def test_degeneracy_tie_break_empty_and_isolated(adj):
     g = LocalGraph(adj)
     assert degeneracy_order(g) == _reference_order(g)
-
-
-@pytest.mark.parametrize("name", ["paper_fig2", "petersen", *GRAPH_NAMES])
-def test_degeneracy_resumes_at_every_round(name):
-    """``degeneracy_order(residual, k)`` at the top of any round continues
-    the full peel: the rest of its order, its round ends, its core numbers
-    and λ. The residual keeps the vertices whose last edge is gone."""
-    e = KNOWN_GRAPHS[name] if name in KNOWN_GRAPHS else edges_for(name, "unit")
-    g = LocalGraph.from_edges(e)
-    ends: list[int] = []
-    order, core, lam = degeneracy_order(g, ends=ends)
-    assert ends[-1] == len(order) and ends == sorted(set(ends))
-    for start in [0, *ends[:-1]]:
-        done = set(order[:start])
-        rest = LocalGraph({v: nb - done for v, nb in g.adj.items() if v not in done})
-        # k at the top of the round: the last k, or the lowest residual degree.
-        k = max(core.get(order[start - 1], 0) if start else 0, min(map(len, rest.adj.values())))
-        tail_ends: list[int] = []
-        got = degeneracy_order(rest, k, tail_ends)
-        assert got == (order[start:], {v: core[v] for v in order[start:]}, lam)
-        later = ends[ends.index(start) + 1:] if start else ends
-        assert [start + x for x in tail_ends] == later

@@ -1,6 +1,8 @@
 """GraphX-lite substrate vs the DuckDB oracle (query-shaped results)."""
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -10,6 +12,7 @@ from repro.graphs.catalog import edges_for
 from repro.gx.graph import (
     canonicalize,
     degrees,
+    driver_edge_budget,
     edges_df,
     remove_vertices,
     symmetrize,
@@ -76,3 +79,18 @@ def test_degrees_max_matches_local(spark):
     e = edges_for("wiki-Talk", "unit")
     got = degrees(edges_df(spark, e)).agg(F.max("degree")).collect()[0][0]
     assert got == LocalGraph.from_edges(e).max_degree()
+
+
+@pytest.mark.parametrize(
+    "memory, budget",
+    [
+        # 1/8 of the memory at 400 bytes per edge; 2g is 671 088 edges.
+        (None, 335_544), ("2g", 671_088), ("2G", 671_088), ("4gb", 1_342_177),
+        ("512m", 167_772), ("1024", 335_544),
+    ],
+)
+def test_driver_edge_budget_reads_driver_memory(memory, budget):
+    """``spark.driver.memory`` as Spark reads it: unset is 1g, the unit is
+    case-blind with an optional ``b``, and a bare number is MiB."""
+    conf = SimpleNamespace(get=({} if memory is None else {"spark.driver.memory": memory}).get)
+    assert driver_edge_budget(SimpleNamespace(conf=conf)) == budget

@@ -43,7 +43,7 @@ def peeled(spark):
     out = {}
     for name, make in INPUTS.items():
         e = make()
-        stamps, lam, _ = peel(spark, edges_df(spark, e))
+        stamps, lam = peel(spark, edges_df(spark, e))
         out[name] = (e, stamps, lam)
     return out
 
@@ -119,40 +119,6 @@ def test_degrees_once_per_round(spark, monkeypatch):
         return real(edges)
 
     monkeypatch.setattr(kcore, "degrees", counted)
-    _, lam, _ = peel(spark, edges_df(spark, K6))
+    _, lam = peel(spark, edges_df(spark, K6))
     assert lam == 5
     assert len(calls) == 2
-
-
-@pytest.fixture(scope="module")
-def peeled_on_driver(spark):
-    """Every input peeled with a budget of its own edge count (the driver
-    takes over at round 0) and of half of it (Spark peels until the
-    residual fits, if a round is left by then)."""
-    out = {}
-    for name, make in INPUTS.items():
-        e = make()
-        m = LocalGraph.from_edges(e).m
-        for where, budget in (("input", m), ("partway", m // 2)):
-            out[name, where] = peel(spark, edges_df(spark, e), budget)
-    return out
-
-
-@pytest.mark.parametrize("where", ["input", "partway"])
-@pytest.mark.parametrize("name", GRAPHS)
-def test_driver_finish_matches_local(peeled, peeled_on_driver, name, where):
-    """Ranks, core numbers and λ equal ``degeneracy_order``'s, and so do
-    the stamps' rounds: the driver resumes the Spark peel where it stops."""
-    e, stamps, lam = peeled[name]
-    got, got_lam, driver_round = peeled_on_driver[name, where]
-    order, core, local_lam = degeneracy_order(LocalGraph.from_edges(e))
-    assert got_lam == lam == local_lam
-    rank = {r["v"]: r["rank"] for r in degeneracy_order_df(got).collect()}
-    assert rank == {v: i for i, v in enumerate(order)}
-    rows = sorted(map(tuple, got.collect()))
-    assert {v: c for v, c, _ in rows} == core
-    assert rows == sorted(map(tuple, stamps.collect()))
-    if where == "input":
-        assert driver_round == (0 if len(e) else None)
-    elif name not in ("empty", "K6"):  # K6 peels in one round
-        assert driver_round >= 1

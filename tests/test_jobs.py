@@ -3,7 +3,8 @@
 ``spark_sweep.py`` runs its Spark path and its exit check on two graphs in
 its own JVM: ca-CondMat reaches the pipeline's search stage, and
 inf-road-usa is fully reduced, so the pipeline skips it. The jobs launch
-Spark through ``job_session``, whose launch settings one more JVM checks.
+Spark through ``job_session``: one more JVM checks its launch settings,
+and a ``local-cluster`` run checks that its executors import ``repro``.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ import pytest
 
 from repro.bench.jobutil import _driver_mem
 
-JOBS = Path(__file__).resolve().parent.parent / "jobs"
+ROOT = Path(__file__).resolve().parent.parent
+JOBS = ROOT / "jobs"
 
 
 def _run(job: str, *args: str) -> str:
@@ -120,6 +122,35 @@ def test_job_session_launch_settings():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["local[2]", "1g"]
+
+
+def test_executors_import_repro():
+    """Executors in JVMs of their own (``local-cluster``) start their Python
+    workers elsewhere, where the relative ``PYTHONPATH=src`` of the test
+    command finds no ``repro``: the kernel imports the package that
+    ``job_session`` ships."""
+    env = {
+        k: v for k, v in os.environ.items() if k != "PYSPARK_SUBMIT_ARGS"
+    } | {"SPARK_MASTER": "local-cluster[2,2,1024]", "PYTHONPATH": "src"}
+    code = (
+        "from repro.bench.jobutil import job_session\n"
+        "from repro.core.spark_rmce import enumerate_cliques_spark, local_mismatches\n"
+        "from repro.graphs.catalog import edges_for\n"
+        "from repro.gx.graph import edges_df\n"
+        "from repro.mce.bitgraph import LocalGraph\n"
+        "from repro.mce.engine import enumerate_cliques\n"
+        "s = job_session('executors')\n"
+        "e = edges_for('ca-CondMat', 'unit')\n"
+        "res = enumerate_cliques_spark(s, edges_df(s, e))\n"
+        "print(local_mismatches(res, enumerate_cliques(LocalGraph.from_edges(e))))\n"
+        "s.stop()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=300, env=env, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["{}"]
 
 
 def test_driver_mem_within_physical_memory(monkeypatch):

@@ -28,8 +28,6 @@ SMALL = {
     "strip12": [(i, i + 1) for i in range(11)] + [(i, i + 2) for i in range(10)],
 }
 ALL = GRAPHS + list(SMALL)
-# The 404-vertex strip: 805 edges, 201 rounds in Spark alone.
-STRIP404 = [(i, i + 1) for i in range(403)] + [(i, i + 2) for i in range(402)]
 
 
 @pytest.fixture(scope="module")
@@ -121,47 +119,3 @@ def test_ratios_close_to_local(reduced, name):
     rep = read_cliques(r.cliques)
     assert rep == set(pre)
     assert r.stats == st
-
-
-def _assert_equals_local(e, r) -> None:
-    """Residual, reported cliques (each once) and sizes equal
-    ``global_reduce_local``'s."""
-    local, pre, st = global_reduce_local(LocalGraph.from_edges(e))
-    assert {(row["src"], row["dst"]) for row in r.edges.collect()} == set(local.edges())
-    assert read_cliques(r.cliques) == set(pre)
-    assert r.cliques.count() == len(pre)
-    assert r.stats == st
-
-
-@pytest.fixture(scope="module")
-def on_driver(spark):
-    """Every input reduced twice with a budget: its own edge count (the
-    driver takes the input) and one edge less (Spark runs Lemma 4, and
-    batches until the graph left fits)."""
-    out = {}
-    for name in ALL:
-        e = np.array(SMALL[name], dtype=np.int64).reshape(-1, 2) if name in SMALL else edges_for(name, "unit")
-        m = len(LocalGraph.from_edges(e).edges())
-        for where, budget in (("input", m), ("partway", m - 1)):
-            out[name, where] = (e, global_reduce_spark(spark, edges_df(spark, e), budget))
-    return out
-
-
-@pytest.mark.parametrize("where", ["input", "partway"])
-@pytest.mark.parametrize("name", ALL)
-def test_driver_finish_matches_local(on_driver, name, where):
-    e, r = on_driver[name, where]
-    _assert_equals_local(e, r)
-    if where == "input" and len(e):
-        assert (r.rounds, r.driver_round) == (0, 0)
-    elif r.driver_round is not None:
-        # The driver takes over after Lemma 4 at the earliest.
-        assert r.driver_round == r.rounds >= 1
-
-
-def test_strip_switches_after_two_rounds(spark):
-    """Two Spark rounds delete 8 of the strip's 805 edges; at 797 the
-    driver finishes the other 199 rounds."""
-    r = global_reduce_spark(spark, edges_df(spark, STRIP404), budget=797)
-    assert (r.rounds, r.driver_round) == (2, 2)
-    _assert_equals_local(STRIP404, r)

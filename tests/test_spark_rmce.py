@@ -26,8 +26,8 @@ from tests.conftest import CYCLE_COUNTEREXAMPLE, ignore_ids_by_definition
 # given by name are that catalog analog at unit scale.
 ON, OFF = (True,) * 3, (False,) * 3
 UNIT = {n: (n, "pivot", ON) for n in ("ca-CondMat", "sc-delaunay_n23", "email-EuAll")}
-# Global reduction empties both road analogs; the fixture runs them with the
-# search stage patched to raise.
+# Global reduction empties both road analogs; the fixture runs them with
+# both ordering paths patched to raise.
 FULLY_REDUCED = {n: (n, "pivot", ON) for n in ("inf-road-usa", "roadNet-CA")}
 UNIT |= FULLY_REDUCED | {
     "ca-CondMat-baseline": ("ca-CondMat", "pivot", OFF),
@@ -54,41 +54,44 @@ CYCLES["pivot-relabelled"] = (
     [(_RELABEL[u], _RELABEL[v]) for u, v in CYCLE_COUNTEREXAMPLE], "pivot", (False, False, True)
 )
 CASES = UNIT | TINY | CYCLES
-# Cases run once more with a budget per loop (global reduction, peel): one
-# edge below the input, and one edge below the residual, so the peel
-# switches to the driver after at least one Spark round. Each maps to the
-# round at which the reduction switches: after Lemma 4 on ca-CondMat and
-# email-EuAll. On sc-delaunay_n23 Lemma 4 deletes no edge and the first
-# batch reaches H*, so the reduction has no later point to switch at.
-PARTWAY = {"ca-CondMat": 1, "email-EuAll": 1, "sc-delaunay_n23": None}
+# Cases run once more at a budget of one edge below the input: global
+# reduction runs in Spark and leaves a residual that fits.
+BOUNDARY = ("ca-CondMat", "email-EuAll")
 
 
-def _no_search(*_args):
-    raise AssertionError("search stage entered on an empty residual graph")
+def _forbid(mp, names) -> None:
+    """Patch each of ``spark_rmce``'s ``names`` to raise when called."""
+    for name in names:
+        def fail(*_args, name=name):
+            raise AssertionError(f"{name} called")
+
+        mp.setattr(f"repro.core.spark_rmce.{name}", fail)
 
 
 @pytest.fixture(scope="module")
 def pipeline(spark):
-    """``pipeline(case, budgets)`` is ``(res, local, g)``: the case's Spark
-    and local results and its graph, each run once. ``budgets`` is
-    ``None`` for ``driver_edge_budget``'s own, or the ``(global reduction,
-    peel)`` budgets the run uses instead; ``(0, 0)`` keeps both loops in
-    Spark."""
+    """``pipeline(case, budget)`` is ``(res, local, g)``: the case's Spark
+    and local results and its graph, each run once. ``budget`` is ``None``
+    for ``driver_edge_budget``'s own, or the budget the run uses instead.
+    Each budget leaves one path to the order, and the others raise: the
+    default collects the input, 0 runs both loops in Spark, and any other
+    budget orders the Spark residual on the driver."""
 
     @functools.cache
-    def run(case, budgets=None):
+    def run(case, budget=None):
         edges, rec, toggles = CASES[case]
         e = edges_for(edges, "unit") if isinstance(edges, str) else edges
         with pytest.MonkeyPatch.context() as mp:
+            if budget is None:
+                _forbid(mp, ("global_reduce_spark", "degeneracy_order_spark"))
+            elif budget == 0:
+                _forbid(mp, ("collect_graph",))
+            else:
+                _forbid(mp, ("degeneracy_order_spark",))
+            if budget is not None:
+                mp.setattr("repro.core.spark_rmce.driver_edge_budget", lambda _: budget)
             if case in FULLY_REDUCED:
-                mp.setattr("repro.core.spark_rmce.degeneracy_order_spark", _no_search)
-            elif budgets is not None:
-                mp.setattr(
-                    "repro.core.spark_rmce.degeneracy_order_spark",
-                    lambda spark, edges, _: degeneracy_order_spark(spark, edges, budgets[1]),
-                )
-            if budgets is not None:
-                mp.setattr("repro.core.spark_rmce.driver_edge_budget", lambda _: budgets[0])
+                _forbid(mp, ("degeneracy_order", "degeneracy_order_spark"))
             res = enumerate_cliques_spark(spark, edges_df(spark, e), rec, *toggles)
         g = LocalGraph.from_edges(e)
         return res, enumerate_cliques(g, rec, *toggles), g
@@ -130,10 +133,8 @@ def test_every_residual_vertex_is_a_subproblem(pipeline, case):
 def test_distributed_loops_match_local(pipeline, case):
     """Budget 0: both loops run every round in Spark, as Table 2's peel
     does, and the result is the same as the driver's."""
-    res, local, g = pipeline(case, (0, 0))
+    res, local, g = pipeline(case, 0)
     _assert_matches(res, local, g)
-    assert res.peel_driver_round is None
-    assert res.reduction is None or res.reduction.driver_round is None
     r = res.reduction
     n, m = (r.stats.n_after, r.stats.m_after) if r else (g.n, g.m)
     assert (res.subproblems, res.x_before) == (n, m)
@@ -141,24 +142,20 @@ def test_distributed_loops_match_local(pipeline, case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_driver_finishes_small_graphs(pipeline, case):
-    """At its default budget every test graph fits: each loop that runs
-    hands over to the driver before its first Spark round."""
-    res, _, g = pipeline(case)
-    r = res.reduction
-    if r is not None:
-        assert (r.driver_round, r.rounds) == (0, 0)
-    searched = r.stats.m_after if r else g.m
-    assert res.peel_driver_round == (0 if searched else None)
+    """At its default budget every test graph fits: the pipeline collects
+    the input, and global reduction runs no Spark round."""
+    res = pipeline(case)[0]
+    assert res.reduction is None or res.reduction.rounds == 0
 
 
-@pytest.mark.parametrize("case", PARTWAY)
-def test_partway_switch_matches_local(pipeline, case):
-    _, local, g = pipeline(case)
-    budgets = (g.m - 1, local.reduction_stats.m_after - 1)
-    res, local, g = pipeline(case, budgets)
+@pytest.mark.parametrize("case", BOUNDARY)
+def test_stage_boundary_matches_local(pipeline, case):
+    """One edge below the input: global reduction runs in Spark, and the
+    driver orders the residual it leaves."""
+    res, local, g = pipeline(case, pipeline(case)[2].m - 1)
     _assert_matches(res, local, g)
-    assert res.reduction.driver_round == PARTWAY[case]
-    assert res.peel_driver_round >= 1
+    assert res.reduction.rounds >= 1
+    assert 0 < res.reduction.stats.m_after < g.m - 1
 
 
 @pytest.mark.parametrize("case", FULLY_REDUCED)
@@ -193,7 +190,7 @@ def test_ignore_table_matches_local(spark):
     evaluated on the identical (distributed) degeneracy order."""
     for e in (edges_for("ca-CondMat", "unit"), CYCLE_COUNTEREXAMPLE):
         df = edges_df(spark, e).localCheckpoint(eager=True)
-        order_df, _, _ = degeneracy_order_spark(spark, df)
+        order_df, _ = degeneracy_order_spark(spark, df)
         ranks = order_df.select("v", "rank")
         rank = {r["v"]: r["rank"] for r in ranks.collect()}
         order = [v for v, _ in sorted(rank.items(), key=lambda kv: kv[1])]
